@@ -59,6 +59,10 @@ def _read_json(value: str):
         raise InputError(f"malformed JSON: {exc}") from exc
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _pattern_arg(value: str) -> GTPattern:
     return GTPattern.from_json(_read_json(value))
 
@@ -112,9 +116,12 @@ def _run_construct(args) -> tuple[dict, int]:
     payload = _read_json(args.input)
     if not isinstance(payload, dict) or not {"pattern", "xi", "q"} <= payload.keys():
         raise InputError("construct expects JSON with 'pattern', 'xi', and 'q' keys")
+    xi, q = payload["xi"], payload["q"]
+    if not isinstance(xi, list) or not all(_is_int(v) for v in xi) or not _is_int(q):
+        raise ShapeError("construct expects 'xi' to be a list of integers and 'q' an integer")
     til = tiling.Tiling.from_json(payload["tiling"]) if payload.get("tiling") else None
     result = faces.construct_nonintegral_vertex(
-        GTPattern.from_json(payload["pattern"]), payload["xi"], int(payload["q"]), til)
+        GTPattern.from_json(payload["pattern"]), xi, q, til)
     return result.to_json(), 0
 
 

@@ -61,10 +61,14 @@ class Tableau:
 
     @classmethod
     def from_json(cls, obj) -> "Tableau":
-        rows = obj["rows"] if isinstance(obj, dict) else obj
+        rows = obj.get("rows") if isinstance(obj, dict) else obj
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ShapeError("tableau JSON must be a list of rows (or {'rows': [...]})")
-        return cls(tuple(tuple(int(v) for v in row) for row in rows))
+        try:
+            rows = tuple(tuple(int(v) for v in row) for row in rows)
+        except (TypeError, ValueError) as exc:
+            raise ShapeError(f"tableau entries must be integers: {exc}") from exc
+        return cls(rows)
 
     def to_json(self) -> dict:
         return {"shape": list(self.shape), "rows": [list(row) for row in self.rows]}

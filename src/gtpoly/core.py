@@ -154,6 +154,8 @@ class PolytopeSpec:
     def __post_init__(self):
         if len(self.lam) != len(self.mu):
             raise ShapeError(f"lambda has length {len(self.lam)} but mu has length {len(self.mu)}")
+        if not self.lam:
+            raise ShapeError("lambda and mu must be nonempty")
         for name, vec in (("lambda", self.lam), ("mu", self.mu)):
             for v in vec:
                 if not isinstance(v, int) or isinstance(v, bool):

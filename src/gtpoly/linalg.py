@@ -1,17 +1,20 @@
-"""Exact linear algebra over the rationals and the integers.
+"""Exact linear algebra through one fraction-free elimination kernel.
 
-Matrices are plain sequences of rows.  Every routine is exact: entries
-are ints or `fractions.Fraction`, and no floating point is used.  A
-matrix with zero rows cannot carry its own column count, so routines
-that need it accept an explicit ``cols`` argument.
+Matrices are plain sequences of rows of ints or `fractions.Fraction`s;
+no floating point is used.  `eliminate` scales each row to integers by
+the lcm of its denominators, then runs fraction-free (Bareiss)
+Gauss-Jordan elimination, in which every intermediate entry is an
+integer minor and every division is exact.  `rank`, `kernel_basis`,
+`solve` and `determinant` read their answers off its result; rationals
+reappear only there.  A matrix with zero rows cannot carry its own
+column count, so routines that need it accept an explicit ``cols``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Optional, Sequence
+from math import gcd, lcm, prod
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InputError
 
@@ -31,55 +34,94 @@ def _dims(m: Matrix, cols: Optional[int]) -> tuple[int, int]:
     return 0, 0 if cols is None else cols
 
 
-def _copy(m: Matrix) -> list[list[Fraction]]:
-    return [[Fraction(v) for v in row] for row in m]
+def _integer_row(row: Row) -> tuple[list[int], int]:
+    """The row scaled by the lcm of its denominators, and that lcm."""
+    # unpack a list, not a generator: a generator's argument tuple is grown
+    # by resizing, which keeps filling the interpreter's tuple free list
+    scale = lcm(*[v.denominator for v in row])
+    return [v.numerator * (scale // v.denominator) for v in row], scale
 
 
-def rref(m: Matrix, cols: Optional[int] = None) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
+class Echelon(NamedTuple):
+    """Fraction-free reduced row echelon form.
+
+    The reduced echelon form is ``rows[i] / d`` for the first
+    ``len(pivots)`` rows; every pivot entry equals ``d``.  ``sign`` is
+    -1 after an odd number of row swaps, else 1.
+    """
+
+    rows: list[list[int]]
+    pivots: list[int]
+    d: int
+    sign: int
+
+    def kernel(self, cols: int) -> list[tuple[int, ...]]:
+        """Primitive kernel vectors of the first ``cols`` columns, one per
+        free column in ascending order, with positive leading entry."""
+        basis = []
+        for f in (j for j in range(cols) if j not in self.pivots):
+            v = [0] * cols
+            v[f] = self.d
+            for row, p in zip(self.rows, self.pivots):
+                v[p] = -row[f]
+            basis.append(primitive_integer(v))
+        return basis
+
+    def solution(self, cols: int) -> Optional[list[Fraction]]:
+        """The solution with free variables 0, reading column ``cols`` as
+        the right-hand side; None if that column holds a pivot."""
+        if cols in self.pivots:
+            return None
+        x = [Fraction(0)] * cols
+        for row, p in zip(self.rows, self.pivots):
+            x[p] = Fraction(row[cols], self.d)
+        return x
+
+
+def eliminate(m: Matrix, cols: Optional[int] = None) -> Echelon:
+    """Fraction-free Gauss-Jordan elimination of m (rows scaled to integers)."""
     r, c = _dims(m, cols)
-    a = _copy(m)
-    pivots = []
-    row = 0
+    a = [_integer_row(row)[0] for row in m]
+    pivots: list[int] = []
+    d, sign, top = 1, 1, 0
     for col in range(c):
-        piv = next((i for i in range(row, r) if a[i][col] != 0), None)
+        if top == r:
+            break
+        piv = next((i for i in range(top, r) if a[i][col] != 0), None)
         if piv is None:
             continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = a[row][col]
-        a[row] = [v / inv for v in a[row]]
+        if piv != top:
+            a[top], a[piv] = a[piv], a[top]
+            sign = -sign
+        prow = a[top]
+        p = prow[col]
         for i in range(r):
-            if i != row and a[i][col] != 0:
+            if i != top:
                 f = a[i][col]
-                a[i] = [v - f * w for v, w in zip(a[i], a[row])]
+                a[i] = [(p * x - f * y) // d for x, y in zip(a[i], prow)]
         pivots.append(col)
-        row += 1
-        if row == r:
-            break
-    return a, pivots
+        d = p
+        top += 1
+    return Echelon(a, pivots, d, sign)
 
 
 def rank(m: Matrix, cols: Optional[int] = None) -> int:
     """Exact rank over the rationals."""
-    return len(rref(m, cols)[1])
+    return len(eliminate(m, cols).pivots)
 
 
 def primitive_integer(vec: Sequence[Fraction], fix_sign: bool = True) -> tuple[int, ...]:
-    """Scale a rational vector to coprime integers.
+    """Scale a vector of ints or rationals to coprime integers.
 
     With ``fix_sign`` the first nonzero entry is made positive; without
     it only positive scaling is applied (the direction is preserved).
     """
-    vals = [Fraction(v) for v in vec]
-    mult = lcm(*(v.denominator for v in vals)) if vals else 1
-    ints = [int(v * mult) for v in vals]
-    g = gcd(*ints) if ints else 1
+    ints = _integer_row(vec)[0]
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
-    if fix_sign:
-        lead = next((v for v in ints if v != 0), 0)
-        if lead < 0:
-            ints = [-v for v in ints]
+    if fix_sign and next((v for v in ints if v != 0), 0) < 0:
+        ints = [-v for v in ints]
     return tuple(ints)
 
 
@@ -90,17 +132,8 @@ def kernel_basis(m: Matrix, cols: Optional[int] = None) -> list[tuple[int, ...]]
     ascending free-column order; each is scaled to coprime integers with
     positive leading entry, so the output is deterministic.
     """
-    r, c = _dims(m, cols)
-    red, pivots = rref(m, cols)
-    free = [j for j in range(c) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * c
-        v[f] = Fraction(1)
-        for row_idx, p in enumerate(pivots):
-            v[p] = -red[row_idx][f]
-        basis.append(primitive_integer(v))
-    return basis
+    _, c = _dims(m, cols)
+    return eliminate(m, c).kernel(c)
 
 
 def determinant(m: Matrix) -> Fraction:
@@ -108,26 +141,10 @@ def determinant(m: Matrix) -> Fraction:
     r = len(m)
     if any(len(row) != r for row in m):
         raise InputError("determinant requires a square matrix")
-    a = _copy(m)
-    det = Fraction(1)
-    for col in range(r):
-        piv = next((i for i in range(col, r) if a[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = a[col][col]
-        for i in range(col + 1, r):
-            if a[i][col] != 0:
-                f = a[i][col] / inv
-                a[i] = [v - f * w for v, w in zip(a[i], a[col])]
-    return det
-
-
-def matvec(m: Matrix, v: Sequence[Fraction]) -> list[Fraction]:
-    return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in m]
+    e = eliminate(m, r)
+    if len(e.pivots) < r:
+        return Fraction(0)
+    return Fraction(e.sign * e.d, prod(_integer_row(row)[1] for row in m))
 
 
 def solve(m: Matrix, rhs: Sequence[Fraction],
@@ -136,200 +153,5 @@ def solve(m: Matrix, rhs: Sequence[Fraction],
 
     Free variables are set to 0, so the output is deterministic.
     """
-    r, c = _dims(m, cols)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(m)]
-    red, pivots = rref(aug, c + 1)
-    if c in pivots:
-        return None
-    x = [Fraction(0)] * c
-    for row_idx, p in enumerate(pivots):
-        x[p] = red[row_idx][c]
-    return x
-
-
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def smith_normal_form(m: Matrix, cols: Optional[int] = None
-                      ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Smith normal form of an integer matrix.
-
-    Returns (U, S, V) with U m V = S, U and V unimodular, S diagonal
-    with nonnegative entries and each diagonal entry dividing the next.
-    """
-    r, c = _dims(m, cols)
-    if any(Fraction(v).denominator != 1 for row in m for v in row):
-        raise InputError("smith_normal_form requires an integer matrix")
-    a = [[int(v) for v in row] for row in m]
-    u = _identity(r)
-    v = _identity(c)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, f):
-        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + f * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, f):
-        for row in a:
-            row[dst] += f * row[src]
-        for row in v:
-            row[dst] += f * row[src]
-
-    t = 0
-    while t < min(r, c):
-        nz = [(abs(a[i][j]), i, j) for i in range(t, r) for j in range(t, c) if a[i][j] != 0]
-        if not nz:
-            break
-        _, pi, pj = min(nz)
-        swap_rows(t, pi)
-        swap_cols(t, pj)
-        while True:
-            reduced = False
-            for i in range(t + 1, r):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    add_row(i, t, -q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        reduced = True
-            for j in range(t + 1, c):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(j, t, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        reduced = True
-            if not reduced:
-                break
-        t += 1
-
-    for i in range(min(r, c)):
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
-
-    # enforce the divisibility chain d_i | d_{i+1}
-    changed = True
-    while changed:
-        changed = False
-        for i in range(min(r, c) - 1):
-            di, dj = a[i][i], a[i + 1][i + 1]
-            if di and dj and dj % di != 0:
-                g = gcd(di, dj)
-                l = di // g * dj
-                # standard 2x2 reduction: diag(di, dj) ~ diag(g, lcm)
-                add_col(i, i + 1, 1)
-                while a[i + 1][i] != 0 or a[i][i + 1] != 0:
-                    if a[i + 1][i] != 0:
-                        q = a[i + 1][i] // a[i][i] if a[i][i] else 0
-                        if a[i][i] and q:
-                            add_row(i + 1, i, -q)
-                        if a[i + 1][i] != 0:
-                            swap_rows(i, i + 1)
-                    if a[i][i + 1] != 0:
-                        q = a[i][i + 1] // a[i][i] if a[i][i] else 0
-                        if a[i][i] and q:
-                            add_col(i + 1, i, -q)
-                        if a[i][i + 1] != 0:
-                            swap_cols(i, i + 1)
-                if a[i][i] < 0:
-                    a[i] = [-x for x in a[i]]
-                    u[i] = [-x for x in u[i]]
-                if a[i + 1][i + 1] < 0:
-                    a[i + 1] = [-x for x in a[i + 1]]
-                    u[i + 1] = [-x for x in u[i + 1]]
-                assert (a[i][i], a[i + 1][i + 1]) == (g, l)
-                changed = True
-        # zero diagonal entries sort to the end
-        for i in range(min(r, c) - 1):
-            if a[i][i] == 0 and a[i + 1][i + 1] != 0:
-                swap_rows(i, i + 1)
-                swap_cols(i, i + 1)
-                changed = True
-    return u, a, v
-
-
-@dataclass(frozen=True)
-class ModularKernel:
-    """Generators of {xi : m xi = 0 (mod q)} plus a unit-coordinate witness.
-
-    ``witness`` is a kernel element with ``witness[unit_index]`` coprime
-    to q (in fact congruent to 1), or None when no kernel element has a
-    coordinate that is a unit mod q.
-    """
-
-    q: int
-    generators: tuple[tuple[int, ...], ...]
-    witness: Optional[tuple[int, ...]]
-    unit_index: Optional[int]
-
-    @property
-    def has_unit_witness(self) -> bool:
-        return self.witness is not None
-
-
-def kernel_mod_q(m: Matrix, q: int, cols: Optional[int] = None) -> ModularKernel:
-    """Kernel of an integer matrix acting on (Z/qZ)^cols.
-
-    Computed through the Smith normal form, so no enumeration of the
-    residue space is needed.  The generating set together with the whole
-    of (qZ)^cols generates the kernel as a group; the witness search is
-    exact (Bezout combinations), not heuristic.
-    """
-    if q < 2:
-        raise InputError(f"modulus must be at least 2, got {q}")
-    r, c = _dims(m, cols)
-    if c == 0:
-        return ModularKernel(q, (), None, None)
-    _, s, v = smith_normal_form(m, cols)
-    generators = []
-    for idx in range(c):
-        d = s[idx][idx] if idx < min(r, c) else 0
-        mult = q // gcd(d, q)
-        if mult == q:
-            continue  # this coordinate of eta must vanish mod q
-        gen = tuple((mult * v[row][idx]) % q for row in range(c))
-        if any(gen):
-            generators.append(gen)
-
-    witness = None
-    unit_index = None
-    for k in range(c):
-        if not generators or gcd(q, *(g[k] for g in generators)) != 1:
-            continue
-        # Bezout-combine generators until coordinate k is 1 mod q
-        combo = [0] * c
-        val = q  # gcd achieved so far at coordinate k; q acts as 0 mod q
-        for gen in generators:
-            if val == 1:
-                break
-            g, aco, bco = _xgcd(val, gen[k])
-            combo = [(aco * x + bco * y) % q for x, y in zip(combo, gen)]
-            val = g
-        assert val == 1 and combo[k] % q == 1
-        witness = tuple(combo)
-        unit_index = k
-        break
-    return ModularKernel(q, tuple(generators), witness, unit_index)
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
-    while ng:
-        qt = g // ng
-        x, nx = nx, x - qt * nx
-        y, ny = ny, y - qt * ny
-        g, ng = ng, g - qt * ng
-    if g < 0:
-        g, x, y = -g, -x, -y
-    return g, x, y
+    _, c = _dims(m, cols)
+    return eliminate([list(row) + [rhs[i]] for i, row in enumerate(m)], c + 1).solution(c)

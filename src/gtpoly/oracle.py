@@ -126,30 +126,19 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, .
     at a time, keeping exact integer ray vectors and combinatorial
     tight-set adjacency.
     """
-    selected: list[int] = []
-    elim: list[list[Fraction]] = []
-    for idx, row in enumerate(rows):
-        vec = [Fraction(v) for v in row]
-        for basis_row in elim:
-            lead = next((k for k, v in enumerate(basis_row) if v != 0), None)
-            if lead is not None and vec[lead] != 0:
-                f = vec[lead] / basis_row[lead]
-                vec = [a - f * b for a, b in zip(vec, basis_row)]
-        if any(v != 0 for v in vec):
-            elim.append(vec)
-            selected.append(idx)
-            if len(selected) == dim:
-                break
+    # the greedy first `dim` independent rows: pivot columns of the transpose
+    selected = linalg.eliminate(list(zip(*rows)), len(rows)).pivots
     if len(selected) < dim:
         raise VerificationError("inequality normals do not span; cone is not pointed")
 
     order = selected + [i for i in range(len(rows)) if i not in set(selected)]
-    base = [list(rows[i]) for i in selected]
-    rays: list[tuple[int, ...]] = []
-    for j in range(dim):
-        rhs = [Fraction(1 if i == j else 0) for i in range(dim)]
-        col = linalg.solve(base, rhs, cols=dim)
-        rays.append(linalg.primitive_integer(col, fix_sign=False))
+    # the simplicial rays are the columns of the inverse of the selected rows
+    inverse = linalg.eliminate([list(rows[idx]) + [int(i == j) for j in range(dim)]
+                                for i, idx in enumerate(selected)])
+    sign = 1 if inverse.d > 0 else -1
+    rays = [linalg.primitive_integer([sign * row[dim + j] for row in inverse.rows],
+                                     fix_sign=False)
+            for j in range(dim)]
 
     def tight_mask(vec: tuple[int, ...], upto: int) -> int:
         mask = 0
@@ -194,9 +183,8 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, .
                         break
                 if not adjacent:
                     continue
-                combo = [pval * b - nval * a for a, b in zip(pvec, nvec)]
                 new_vec = linalg.primitive_integer(
-                    [Fraction(v) for v in combo], fix_sign=False)
+                    [pval * b - nval * a for a, b in zip(pvec, nvec)], fix_sign=False)
                 if new_vec not in fresh:
                     fresh[new_vec] = tight_mask(new_vec, pos + 1)
         current = keep + list(fresh.items())
@@ -217,12 +205,12 @@ def enumerate_vertices(spec: PolytopeSpec) -> list[GTPattern]:
             "set GTPOLY_SCALE_GUARD to override")
     cs = constraint_system(spec)
     nvars = len(cs.cells)
-    eq_rows = [list(row) for row, _ in cs.equalities]
-    eq_rhs = [Fraction(rhs) for _, rhs in cs.equalities]
-    x0 = linalg.solve(eq_rows, eq_rhs, cols=nvars)
+    # one elimination of [eq | rhs] gives a particular solution and the hull basis
+    hull = linalg.eliminate([list(row) + [rhs] for row, rhs in cs.equalities], nvars + 1)
+    x0 = hull.solution(nvars)
     if x0 is None:
         return []
-    basis = linalg.kernel_basis(eq_rows, cols=nvars)
+    basis = hull.kernel(nvars)
     d = len(basis)
     if d == 0:
         point = cs.pattern(x0)
@@ -232,7 +220,7 @@ def enumerate_vertices(spec: PolytopeSpec) -> list[GTPattern]:
 
     projected: dict[tuple[int, ...], None] = {}
     for row, rhs in cs.inequalities:
-        normal = [Fraction(_dot(row, b)) for b in basis]
+        normal = [_dot(row, b) for b in basis]
         offset = Fraction(rhs) - sum((c * v for c, v in zip(row, x0)), Fraction(0))
         if all(v == 0 for v in normal):
             if offset > 0:

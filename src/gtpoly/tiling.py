@@ -57,11 +57,15 @@ class Tiling:
     def from_json(cls, obj) -> "Tiling":
         if not isinstance(obj, dict) or "tiles" not in obj or "free" not in obj:
             raise ShapeError("tiling JSON must be an object with 'tiles' and 'free' keys")
-        tiles = tuple(
-            tuple(sorted((int(i), int(j)) for i, j in tile)) for tile in obj["tiles"]
-        )
-        n = obj.get("n") or max((j for tile in tiles for (_, j) in tile), default=0)
-        return cls(int(n), tiles, tuple(int(t) for t in obj["free"]))
+        try:
+            tiles = tuple(
+                tuple(sorted((int(i), int(j)) for i, j in tile)) for tile in obj["tiles"]
+            )
+            n = int(obj.get("n") or max((j for tile in tiles for (_, j) in tile), default=0))
+            free = tuple(int(t) for t in obj["free"])
+        except (TypeError, ValueError) as exc:
+            raise ShapeError(f"malformed tiling JSON: {exc}") from exc
+        return cls(n, tiles, free)
 
 
 def compute_tiling(x: GTPattern) -> Tiling:

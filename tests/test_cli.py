@@ -223,3 +223,40 @@ class TestArgErrors:
         code, out = run(capsys, "validate", "/nonexistent/path.json")
         assert code == 2
         assert "error" in out
+
+
+class TestEmptySpec:
+    @pytest.mark.parametrize("command", ["ehrhart", "vertices", "points"])
+    def test_empty_spec_exit_2(self, capsys, command):
+        code, out = run(capsys, command, '{"lambda": [], "mu": []}')
+        assert code == 2
+        assert "error" in out
+
+
+class TestParseErrors:
+    CARRIER = {"n": 5, "rows": [[2, 2, 1, 0, 0], [2, 1, 0, 0], [1, 1, 0], [1, 0], [1]]}
+
+    def construct(self, capsys, **fields):
+        payload = {"pattern": self.CARRIER, "xi": [1, 1, 1], "q": 2, **fields}
+        return run(capsys, "construct", json.dumps(payload))
+
+    def test_construct_non_integer_xi_entry(self, capsys):
+        code, out = self.construct(capsys, xi=[1, "one", 1])
+        assert code == 2
+        assert "error" in out
+
+    def test_construct_non_integer_q(self, capsys):
+        code, out = self.construct(capsys, q="two")
+        assert code == 2
+        assert "error" in out
+
+    def test_construct_malformed_tiling_cell(self, capsys):
+        code, out = self.construct(capsys, tiling={"tiles": [[[1]]], "free": []})
+        assert code == 2
+        assert "error" in out
+
+    @pytest.mark.parametrize("tableau", ['[[1, "x"], [2]]', '{"shape": [2]}'])
+    def test_from_tableau_malformed(self, capsys, tableau):
+        code, out = run(capsys, "from-tableau", tableau, "--n", "3")
+        assert code == 2
+        assert "error" in out

@@ -163,6 +163,10 @@ class TestSpec:
         with pytest.raises(ShapeError):
             PolytopeSpec((1, Fraction(1, 2)), (1, 0))
 
+    def test_empty_spec_rejected(self):
+        with pytest.raises(ShapeError):
+            PolytopeSpec((), ())
+
     def test_json_round_trip(self):
         spec = PolytopeSpec.from_json(WORKED_SPEC.to_json())
         assert spec == WORKED_SPEC

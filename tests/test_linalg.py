@@ -1,4 +1,4 @@
-"""Exact linear algebra: rank, kernels, determinants, Smith form, mod-q kernels."""
+"""Exact linear algebra: rank, kernels, determinants, solutions."""
 
 import random
 from fractions import Fraction
@@ -10,17 +10,18 @@ from gtpoly import InputError
 from gtpoly.linalg import (
     determinant,
     kernel_basis,
-    kernel_mod_q,
-    matvec,
     primitive_integer,
     rank,
-    smith_normal_form,
     solve,
 )
 
 
 def random_int_matrix(rng, rows, cols, lo=-4, hi=4):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+
+
+def matvec(m, v):
+    return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in m]
 
 
 class TestRank:
@@ -122,115 +123,6 @@ class TestSolve:
             x = solve(m, target, cols=c)
             assert x is not None
             assert matvec(m, x) == target
-
-
-class TestSmithNormalForm:
-    def check(self, m, rows, cols):
-        u, s, v = smith_normal_form(m, cols=cols)
-        assert abs(determinant(u)) == 1
-        assert abs(determinant(v)) == 1
-        # U m V == S
-        prod = [[sum(u[i][k] * m[k][j] for k in range(rows)) for j in range(cols)]
-                for i in range(rows)]
-        prod = [[sum(prod[i][k] * v[k][j] for k in range(cols)) for j in range(cols)]
-                for i in range(rows)]
-        assert prod == s
-        diag = [s[i][i] for i in range(min(rows, cols))]
-        for i in range(rows):
-            for j in range(cols):
-                if i != j:
-                    assert s[i][j] == 0
-        assert all(d >= 0 for d in diag)
-        nonzero = [d for d in diag if d]
-        assert diag[:len(nonzero)] == nonzero, "zero entries must come last"
-        for a, b in zip(nonzero, nonzero[1:]):
-            assert b % a == 0
-        return diag
-
-    def test_family_matrix_invariants(self):
-        diag = self.check(FAMILY2_MATRIX, 3, 3)
-        assert diag == [1, 1, 2]
-
-    def test_randomized(self):
-        rng = random.Random(23)
-        for _ in range(40):
-            rows, cols = rng.randint(0, 5), rng.randint(0, 5)
-            m = random_int_matrix(rng, rows, cols)
-            self.check(m, rows, cols)
-
-    def test_rational_input_rejected(self):
-        with pytest.raises(InputError):
-            smith_normal_form([[Fraction(1, 2)]])
-
-
-class TestKernelModQ:
-    def test_family_matrix_mod_2(self):
-        result = kernel_mod_q(FAMILY2_MATRIX, 2)
-        assert result.has_unit_witness
-        xi = result.witness
-        assert all(sum(a * b for a, b in zip(row, xi)) % 2 == 0 for row in FAMILY2_MATRIX)
-        assert any(x % 2 == 1 for x in xi)
-        # only kernel elements mod 2 are 0 and (1,1,1)
-        assert xi == (1, 1, 1)
-
-    def test_identity_has_no_witness(self):
-        for q in (2, 3, 5, 12):
-            result = kernel_mod_q([[1, 0], [0, 1]], q)
-            assert result.generators == ()
-            assert not result.has_unit_witness
-
-    def test_worked_matrix_mod_3(self):
-        result = kernel_mod_q(WORKED_MATRIX, 3)
-        assert result.has_unit_witness
-        xi = result.witness
-        assert all(sum(a * b for a, b in zip(row, xi)) % 3 == 0 for row in WORKED_MATRIX)
-        from math import gcd
-        assert gcd(xi[result.unit_index], 3) == 1
-
-    def test_modulus_below_two_rejected(self):
-        with pytest.raises(InputError):
-            kernel_mod_q(FAMILY2_MATRIX, 1)
-
-    def test_generators_are_kernel_elements_randomized(self):
-        rng = random.Random(31)
-        for _ in range(40):
-            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-            q = rng.choice((2, 3, 4, 6, 9))
-            m = random_int_matrix(rng, rows, cols)
-            result = kernel_mod_q(m, q)
-            for gen in result.generators:
-                assert all(sum(a * b for a, b in zip(row, gen)) % q == 0 for row in m)
-            if result.has_unit_witness:
-                xi = result.witness
-                assert all(0 <= x < q for x in xi)
-                assert all(sum(a * b for a, b in zip(row, xi)) % q == 0 for row in m)
-                assert xi[result.unit_index] % q == 1
-
-    def test_exhaustive_cross_check_small(self):
-        # brute-force the kernel subgroup and compare witness existence
-        from itertools import product
-        from math import gcd
-        rng = random.Random(17)
-        for _ in range(25):
-            rows, cols, q = rng.randint(1, 3), rng.randint(1, 3), rng.choice((2, 3, 4, 6))
-            m = random_int_matrix(rng, rows, cols, -3, 3)
-            brute = [xi for xi in product(range(q), repeat=cols)
-                     if all(sum(a * b for a, b in zip(row, xi)) % q == 0 for row in m)]
-            brute_has_unit = any(
-                any(gcd(x, q) == 1 for x in xi) for xi in brute)
-            result = kernel_mod_q(m, q)
-            assert result.has_unit_witness == brute_has_unit
-            # generated subgroup equals the brute kernel
-            span = {tuple([0] * cols)}
-            frontier = [tuple([0] * cols)]
-            while frontier:
-                base = frontier.pop()
-                for gen in result.generators:
-                    nxt = tuple((a + b) % q for a, b in zip(base, gen))
-                    if nxt not in span:
-                        span.add(nxt)
-                        frontier.append(nxt)
-            assert span == set(brute)
 
 
 class TestPrimitiveInteger:
