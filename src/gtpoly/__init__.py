@@ -7,6 +7,7 @@ from .combinatorics import (
     EhrhartReport,
     EhrhartSample,
     Tableau,
+    count_lattice_points,
     ehrhart_polynomial,
     ehrhart_values,
     enumerate_lattice_points,

@@ -242,31 +242,26 @@ def build_parser() -> argparse.ArgumentParser:
                         help="attach a triangular text rendering to pattern outputs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, *, pattern_input=False, spec_input=False,
-            needs_spec=False, raw_input=False):
+    def add(name, func, help_text, *, needs_spec=False):
         p = sub.add_parser(name, help=help_text)
-        if pattern_input or spec_input or raw_input:
-            p.add_argument("input", help="file path, inline JSON, or - for stdin")
+        p.add_argument("input", help="file path, inline JSON, or - for stdin")
         if needs_spec:
             p.add_argument("--spec", required=True,
                            help="polytope spec (path, inline JSON, or -)")
         p.set_defaults(func=func)
         return p
 
-    add("validate", _run_validate, "check the defining pattern constraints",
-        pattern_input=True)
-    add("tiling", _run_tiling, "tiling of a valid pattern", pattern_input=True)
-    add("matrix", _run_matrix, "tiling matrix of a valid pattern", pattern_input=True)
+    add("validate", _run_validate, "check the defining pattern constraints")
+    add("tiling", _run_tiling, "tiling of a valid pattern")
+    add("matrix", _run_matrix, "tiling matrix of a valid pattern")
     add("face-dim", _run_face_dim, "minimal-face dimension via the tiling matrix",
-        pattern_input=True, needs_spec=True)
-    add("is-vertex", _run_is_vertex, "vertex test via the tiling matrix",
-        pattern_input=True, needs_spec=True)
+        needs_spec=True)
+    add("is-vertex", _run_is_vertex, "vertex test via the tiling matrix", needs_spec=True)
     add("face-basis", _run_face_basis, "kernel basis, face directions, and scale",
-        pattern_input=True, needs_spec=True)
+        needs_spec=True)
     add("certificate", _run_certificate, "non-integrality certificate of a vertex",
-        pattern_input=True, needs_spec=True)
-    add("construct", _run_construct,
-        "rebuild a vertex from an integral carrier, xi, and q", raw_input=True)
+        needs_spec=True)
+    add("construct", _run_construct, "rebuild a vertex from an integral carrier, xi, and q")
 
     p = sub.add_parser("family", help="generate a verified non-integral vertex instance")
     p.add_argument("--k", type=int, required=True)
@@ -278,27 +273,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_run_bound)
 
-    add("kostka", _run_kostka, "lattice-point count of GT(lambda, mu)", spec_input=True)
-    add("points", _run_points, "enumerate all lattice points", spec_input=True)
-    p = add("ehrhart", _run_ehrhart,
-            "dilation counts, or the interpolated counting polynomial", spec_input=True)
+    add("kostka", _run_kostka, "lattice-point count of GT(lambda, mu)")
+    add("points", _run_points, "enumerate all lattice points")
+    p = add("ehrhart", _run_ehrhart, "dilation counts, or the interpolated counting polynomial")
     p.add_argument("--mmax", type=int, default=None,
                    help="emit counts for m = 1..M instead of interpolating")
     p.add_argument("--degree-hint", type=int, default=None,
-                   help="interpolation degree override (skips the vertex-based dimension)")
-    add("vertices", _run_vertices, "enumerate all vertices (brute-force oracle)",
-        spec_input=True)
+                   help="interpolation degree override (skips reading the degree off the counts)")
+    add("vertices", _run_vertices, "enumerate all vertices (brute-force oracle)")
     add("oracle-face-dim", _run_oracle_face_dim,
-        "minimal-face dimension via tight constraints (oracle)",
-        pattern_input=True, needs_spec=True)
-    p = add("sample", _run_sample, "seeded member samples", spec_input=True)
+        "minimal-face dimension via tight constraints (oracle)", needs_spec=True)
+    p = add("sample", _run_sample, "seeded member samples")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    add("embed", _run_embed, "embed a pattern into size n+1", pattern_input=True)
-    add("to-tableau", _run_to_tableau, "integral pattern to semistandard tableau",
-        pattern_input=True)
-    p = add("from-tableau", _run_from_tableau, "semistandard tableau to pattern",
-            raw_input=True)
+    add("embed", _run_embed, "embed a pattern into size n+1")
+    add("to-tableau", _run_to_tableau, "integral pattern to semistandard tableau")
+    p = add("from-tableau", _run_from_tableau, "semistandard tableau to pattern")
     p.add_argument("--n", type=int, required=True, help="pattern size")
 
     p = sub.add_parser("repro-paper",

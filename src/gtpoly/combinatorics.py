@@ -3,21 +3,22 @@
 Integral members of GT(lambda, mu) correspond one-to-one with
 semistandard Young tableaux of shape lambda and content mu: reading the
 pattern rows bottom-up as a growing chain of partitions, the cells added
-by row j are filled with the letter j.  Lattice points are enumerated
-directly from the interlacing and row-sum constraints, and the Kostka
-number is their count.
+by row j are filled with the letter j.  One row recursion enumerates the
+lattice points and, merging equal rows level by level, counts them
+without building any; the Kostka number is that count.
 
 The dilation counting function m -> #(GT(m*lambda, m*mu) lattice
-points) agrees with a single polynomial; `ehrhart_polynomial`
-interpolates it exactly and re-checks the interpolant at extra
-dilations.
+points) agrees with a single polynomial; `ehrhart_polynomial` reads its
+degree off the counts, interpolates it exactly and re-checks the
+interpolant at extra dilations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from math import comb
+from typing import Iterator, Optional, Sequence
 
 from .core import GTPattern, PolytopeSpec, rational_to_json
 from .errors import InputError, ShapeError
@@ -105,54 +106,56 @@ def tableau_to_pattern(t: Tableau, n: int) -> GTPattern:
     return GTPattern(tuple(rows))
 
 
+def _rows_below(above: tuple[int, ...], target: int) -> Iterator[tuple[int, ...]]:
+    """Every integer row interlacing ``above`` (entry i in [above[i+1], above[i]])
+    with sum ``target``, in lexicographic order.  The first entry is cut to
+    the values the rest, a row interlacing ``above[1:]``, can complete."""
+    if len(above) == 2:
+        if above[1] <= target <= above[0]:
+            yield (target,)
+        return
+    for a in range(max(above[1], target - sum(above[1:-1])),
+                   min(above[0], target - sum(above[2:])) + 1):
+        for tail in _rows_below(above[1:], target - a):
+            yield (a,) + tail
+
+
 def enumerate_lattice_points(spec: PolytopeSpec) -> list[GTPattern]:
     """All integral members of GT(spec), duplicate-free.
 
-    Rows are generated top-down (row n is pinned to lambda), each row an
-    integer vector interlacing the one above with the prescribed sum;
+    A depth-first search over `_rows_below`, top-down from row n = lambda;
     the output is sorted lexicographically by rows bottom-up.
     """
-    n = spec.n
-    lam = spec.lam
     targets = spec.row_targets()
-    if sum(lam) != targets[-1] or any(v < 0 for v in lam):
+    if sum(spec.lam) != targets[-1] or min(spec.lam) < 0:
         return []
-    results: list[tuple[tuple[int, ...], ...]] = []
 
-    def descend(stack: list[tuple[int, ...]]) -> None:
-        j = n - len(stack)  # length of the next row down
-        if j == 0:
-            results.append(tuple(reversed(stack)))
-            return
-        above = stack[-1]
-        target = targets[j - 1]
-        los = [above[i + 1] for i in range(j)]
-        his = [above[i] for i in range(j)]
-        lo_suffix = [0] * (j + 1)
-        hi_suffix = [0] * (j + 1)
-        for i in range(j - 1, -1, -1):
-            lo_suffix[i] = lo_suffix[i + 1] + los[i]
-            hi_suffix[i] = hi_suffix[i + 1] + his[i]
+    def descend(rows: tuple[tuple[int, ...], ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if len(rows) == spec.n:
+            yield rows[::-1]
+        else:
+            for row in _rows_below(rows[-1], targets[len(rows[-1]) - 2]):
+                yield from descend(rows + (row,))
 
-        row: list[int] = []
-
-        def pick(idx: int, acc: int) -> None:
-            if idx == j:
-                descend(stack + [tuple(row)])
-                return
-            for a in range(los[idx], his[idx] + 1):
-                rest = target - acc - a
-                if lo_suffix[idx + 1] <= rest <= hi_suffix[idx + 1]:
-                    row.append(a)
-                    pick(idx + 1, acc + a)
-                    row.pop()
-
-        pick(0, 0)
-
-    descend([tuple(lam)])
-    results.sort()
     return [GTPattern(tuple(tuple(Fraction(v) for v in row) for row in rows))
-            for rows in results]
+            for rows in sorted(descend((spec.lam,)))]
+
+
+def count_lattice_points(spec: PolytopeSpec) -> int:
+    """Number of integral members of GT(spec), without building any: the
+    rows of `enumerate_lattice_points`, each distinct row expanded once per
+    level together with the number of ways lambda reaches it."""
+    targets = spec.row_targets()
+    if sum(spec.lam) != targets[-1] or min(spec.lam) < 0:
+        return 0
+    ways = {spec.lam: 1}
+    for target in reversed(targets[:-1]):
+        below: dict[tuple[int, ...], int] = {}
+        for above, w in ways.items():
+            for row in _rows_below(above, target):
+                below[row] = below.get(row, 0) + w
+        ways = below
+    return sum(ways.values())
 
 
 def enumerate_tableaux(shape: Sequence[int], content: Sequence[int]) -> list[Tableau]:
@@ -199,7 +202,7 @@ def kostka(lam: Sequence[int], mu: Sequence[int]) -> int:
     """Number of lattice points of GT(lam, mu) = #SSYT(lam, mu)."""
     if len(lam) != len(mu):
         raise InputError("lambda and mu must have equal lengths")
-    return len(enumerate_lattice_points(PolytopeSpec(tuple(lam), tuple(mu))))
+    return count_lattice_points(PolytopeSpec(tuple(lam), tuple(mu)))
 
 
 @dataclass(frozen=True)
@@ -215,7 +218,7 @@ def ehrhart_values(spec: PolytopeSpec, m_max: int) -> list[EhrhartSample]:
     """Lattice-point counts of the dilations GT(m*lambda, m*mu), m = 1..m_max."""
     if m_max < 1:
         raise InputError(f"m_max must be at least 1, got {m_max}")
-    return [EhrhartSample(m, len(enumerate_lattice_points(spec.dilate(m))))
+    return [EhrhartSample(m, count_lattice_points(spec.dilate(m)))
             for m in range(1, m_max + 1)]
 
 
@@ -270,23 +273,27 @@ def ehrhart_polynomial(spec: PolytopeSpec, degree_hint: Optional[int] = None,
                        extra_checks: int = 3) -> EhrhartReport:
     """Interpolate the dilation counting function and verify the interpolant.
 
-    The interpolation degree D is the polytope dimension (computed from
-    the enumerated vertices unless ``degree_hint`` overrides it); counts
-    at m = 1..D+1 determine the polynomial, which is then compared
-    against the true counts at ``extra_checks`` further dilations.  A
-    mismatch is reported, never swallowed.
+    Stretched Kostka numbers are polynomial in m, with value 1 at m = 0
+    and degree D = the polytope dimension <= B = C(n-1, 2).  Unless
+    ``degree_hint`` overrides it, D is the highest order of finite
+    difference of the counts at m = 0..B+1 that is not all zero.  Counts
+    at m = 1..D+1 determine the polynomial, which is then compared against
+    the true counts at ``extra_checks`` further dilations.  A mismatch is
+    reported, never swallowed.
     """
-    if degree_hint is not None:
-        degree = degree_hint
-    else:
-        from .oracle import polytope_dimension
-
-        degree = polytope_dimension(spec)
-        if degree < 0:
+    counts, degree = [1], degree_hint  # counts[m]: lattice points of the m-th dilation
+    if degree is None:
+        counts += [s.count for s in ehrhart_values(spec, comb(spec.n - 1, 2) + 1)]
+        if counts[1] == 0:
             raise InputError("polytope is empty; no counting polynomial exists")
+        degree, diffs = 0, counts
+        while any(diffs := [b - a for a, b in zip(diffs, diffs[1:])]):
+            degree += 1
     if degree < 0:
         raise InputError(f"degree hint must be nonnegative, got {degree}")
-    samples = ehrhart_values(spec, degree + 1 + extra_checks)
+    counts += [count_lattice_points(spec.dilate(m))
+               for m in range(len(counts), degree + 2 + extra_checks)]
+    samples = [EhrhartSample(m, counts[m]) for m in range(1, degree + 2 + extra_checks)]
     base = [(s.m, s.count) for s in samples[:degree + 1]]
     coeffs = _interpolate(base)
     checks = []

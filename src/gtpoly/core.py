@@ -181,6 +181,8 @@ class PolytopeSpec:
     def from_json(cls, obj) -> "PolytopeSpec":
         if not isinstance(obj, dict) or "lambda" not in obj or "mu" not in obj:
             raise ShapeError("spec JSON must be an object with 'lambda' and 'mu' keys")
+        if not isinstance(obj["lambda"], list) or not isinstance(obj["mu"], list):
+            raise ShapeError("spec 'lambda' and 'mu' must be lists of integers")
         return cls(tuple(obj["lambda"]), tuple(obj["mu"]))
 
     def to_json(self) -> dict:

@@ -32,7 +32,7 @@ from .core import (
     validate_pattern,
 )
 from .errors import InputError, TilingDriftError, VerificationError
-from .tiling import Tiling, compute_tiling, tiling_matrix_of
+from .tiling import Tiling, TilingMatrix, compute_tiling, tiling_matrix_of
 
 DirectionRows = tuple[tuple[Fraction, ...], ...]
 
@@ -181,6 +181,12 @@ def nonintegrality_certificate(x: GTPattern, spec: PolytopeSpec
     a = tiling_matrix_of(til)
     if a.cols != linalg.rank(a.entries, cols=a.cols):
         raise InputError("pattern is not a vertex; no non-integrality certificate applies")
+    return _vertex_certificate(x, til, a)
+
+
+def _vertex_certificate(x: GTPattern, til: Tiling, a: TilingMatrix
+                        ) -> Optional[NonIntegralityCertificate]:
+    """`nonintegrality_certificate` of a vertex x, given its tiling and matrix."""
     q = x.denominator_lcm()
     if q == 1:
         return None
@@ -235,6 +241,8 @@ def _same_partition(a: Tiling, b: Tiling) -> bool:
 
 
 def _check_tiling_structure(til: Tiling, x_int: GTPattern) -> None:
+    if len(set(til.free)) != len(til.free) or not set(til.free) <= set(range(len(til.tiles))):
+        raise InputError("supplied tiling's free entries must be distinct tile indices")
     cells = set(x_int.cells())
     seen: set[tuple[int, int]] = set()
     for tile in til.tiles:

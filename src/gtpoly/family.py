@@ -21,7 +21,7 @@ from math import comb
 from . import linalg
 from .core import GTPattern, PolytopeSpec, embed, embed_spec, membership
 from .errors import InputError, VerificationError
-from .faces import NonIntegralityCertificate, nonintegrality_certificate
+from .faces import NonIntegralityCertificate, _vertex_certificate
 from .tiling import TilingMatrix, compute_tiling, tiling_matrix_of
 
 
@@ -99,7 +99,8 @@ def _verify_instance(k: int, even: bool, spec: PolytopeSpec,
             raise VerificationError(f"family instance k={k} failed self-check '{name}': {detail}")
 
     check("membership", membership(pattern, spec))
-    matrix = tiling_matrix_of(compute_tiling(pattern))
+    til = compute_tiling(pattern)
+    matrix = tiling_matrix_of(til)
     check("square-matrix", matrix.rows == matrix.cols,
           rows=matrix.rows, cols=matrix.cols)
     det = linalg.determinant(matrix.entries)
@@ -107,7 +108,7 @@ def _verify_instance(k: int, even: bool, spec: PolytopeSpec,
     check("vertex", det != 0)
     lcm_val = pattern.denominator_lcm()
     check("denominator-lcm", lcm_val == k, lcm=lcm_val)
-    cert = nonintegrality_certificate(pattern, spec)
+    cert = _vertex_certificate(pattern, til, matrix)
     check("certificate", cert is not None and cert.q == k)
     bound = denominator_bound(spec.n)
     check("below-denominator-bound", k < bound, bound=bound)

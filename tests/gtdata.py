@@ -8,6 +8,8 @@ under test.
 
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from gtpoly import GTPattern, PolytopeSpec
 
 # worked example: member of GT((6,5,3,2,0),(4,1,4,5,2)) on a 2-face
@@ -87,3 +89,29 @@ def random_valid_pattern(rng, n, max_top=4):
                        if num_lo <= num_hi else lo)
         rows.append(row)
     return GTPattern.from_bottom_rows(list(reversed(rows)))
+
+
+# hypothesis strategies for generated inputs, kept small so that the
+# enumerations and the vertex oracle stay fast
+@st.composite
+def small_specs(draw, max_n=5, top=3):
+    """Partition lambda and a composition mu of |lambda|; often empty."""
+    n = draw(st.integers(1, max_n))
+    lam = sorted(draw(st.lists(st.integers(0, top), min_size=n, max_size=n)), reverse=True)
+    cuts = sorted(draw(st.lists(st.integers(0, sum(lam)), min_size=n - 1, max_size=n - 1)))
+    mu = [b - a for a, b in zip([0] + cuts, cuts + [sum(lam)])]
+    return PolytopeSpec(tuple(lam), tuple(mu))
+
+
+@st.composite
+def integral_patterns(draw, min_n=1, max_n=5, top=6):
+    """Integral GT-pattern drawn top-down, each cell in its interlacing
+    interval; its spec is therefore nonempty.  The top row has distinct
+    entries, so that the polytopes are not mostly points."""
+    n = draw(st.integers(min_n, max_n))
+    rows = [sorted(draw(st.lists(st.integers(0, top), min_size=n, max_size=n, unique=True)),
+                   reverse=True)]
+    while len(rows[-1]) > 1:
+        above = rows[-1]
+        rows.append([draw(st.integers(above[i + 1], above[i])) for i in range(len(above) - 1)])
+    return GTPattern.from_rows(rows)

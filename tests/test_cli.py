@@ -1,8 +1,12 @@
 """Command-line surface: subcommands, exit codes, JSON round trips."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtdata import BIJ, FAMILY2, FAMILY2_SPEC, WORKED, WORKED_MATRIX, WORKED_SPEC
 from gtpoly.cli import main
@@ -156,6 +160,15 @@ class TestCountingSubcommands:
         assert out["degree"] == 4
         assert out["all_match"] is True
 
+    def test_ehrhart_polynomial_beyond_the_vertex_oracle_guard(self, capsys):
+        # n = 7 is past the vertex enumerator's default guard; the degree
+        # now comes from the dilation counts alone
+        spec = json.dumps({"lambda": [2, 1, 1, 0, 0, 0, 0], "mu": [1, 1, 1, 1, 0, 0, 0]})
+        code, out = run(capsys, "ehrhart", spec)
+        assert code == 0
+        assert out["degree"] == 2
+        assert out["all_match"] is True
+
     def test_vertices_and_oracle_face_dim(self, capsys):
         code, out = run(capsys, "vertices", spec_json(FAMILY2_SPEC))
         assert code == 0
@@ -255,8 +268,34 @@ class TestParseErrors:
         assert code == 2
         assert "error" in out
 
+    @pytest.mark.parametrize("spec", ['{"lambda": 5, "mu": 5}', '{"lambda": [1, 0], "mu": null}'])
+    def test_spec_field_not_a_list(self, capsys, spec):
+        code, out = run(capsys, "kostka", spec)
+        assert code == 2
+        assert "error" in out
+
     @pytest.mark.parametrize("tableau", ['[[1, "x"], [2]]', '{"shape": [2]}'])
     def test_from_tableau_malformed(self, capsys, tableau):
         code, out = run(capsys, "from-tableau", tableau, "--n", "3")
         assert code == 2
         assert "error" in out
+
+
+SMALL_JSON = (st.none() | st.integers(-3, 5) | st.text(max_size=3)
+              | st.lists(st.integers(-2, 4), max_size=4))
+JSON_VALUES = SMALL_JSON | st.dictionaries(
+    st.sampled_from(["lambda", "mu", "n", "rows"]), SMALL_JSON, max_size=3)
+
+
+class TestExitContract:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(JSON_VALUES)
+    def test_spec_commands_exit_0_2_or_3(self, value):
+        # inline JSON is recognised by a leading { or [; other values are
+        # read as (missing) file paths and must be rejected the same way
+        for command in ("kostka", "points", "ehrhart", "vertices"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main([command, json.dumps(value)])
+            assert code in (0, 2, 3)
+            json.loads(out.getvalue())

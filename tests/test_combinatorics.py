@@ -3,23 +3,37 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gtdata import BIJ, BIJ_SPEC, FAMILY2_SPEC, hook_length_count
+from gtdata import (
+    BIJ,
+    BIJ_SPEC,
+    FAMILY2_SPEC,
+    hook_length_count,
+    integral_patterns,
+    small_specs,
+)
 from gtpoly import (
     GTPattern,
     InputError,
     PolytopeSpec,
     ShapeError,
     Tableau,
+    count_lattice_points,
     ehrhart_polynomial,
     ehrhart_values,
     enumerate_lattice_points,
     enumerate_tableaux,
     kostka,
     pattern_to_tableau,
+    polytope_dimension,
+    spec_of,
     tableau_to_pattern,
     weight_of,
 )
+
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
 class TestTableauType:
@@ -125,6 +139,31 @@ class TestEnumerateLatticePoints:
         assert BIJ in points
 
 
+class TestCountLatticePoints:
+    @SETTINGS
+    @given(small_specs())
+    def test_matches_enumeration_and_tableaux(self, spec):
+        count = count_lattice_points(spec)
+        assert count == len(enumerate_lattice_points(spec))
+        assert count == len(enumerate_tableaux(spec.lam, spec.mu))
+
+    @SETTINGS
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        *[st.lists(st.integers(-1, 3), min_size=n, max_size=n)] * 2)))
+    def test_matches_enumeration_on_arbitrary_vectors(self, vectors):
+        # unsorted lambda, negative entries and sum mismatches included
+        spec = PolytopeSpec(*map(tuple, vectors))
+        assert count_lattice_points(spec) == len(enumerate_lattice_points(spec))
+
+    @SETTINGS
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=3)
+           .map(lambda parts: sorted(parts, reverse=True)))
+    def test_standard_content_matches_hook_lengths(self, shape):
+        size = sum(shape)
+        lam = tuple(shape) + (0,) * (size - len(shape))
+        assert count_lattice_points(PolytopeSpec(lam, (1,) * size)) == hook_length_count(shape)
+
+
 class TestKostka:
     def test_frozen_value_cross_checked_by_hooks(self):
         assert hook_length_count((2, 2, 1)) == 5
@@ -196,3 +235,11 @@ class TestEhrhart:
         assert all(isinstance(c, Fraction) for c in report.coefficients)
         assert report.all_match
         assert len(report.checks) == 3
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(integral_patterns())
+    def test_degree_from_counts_is_polytope_dimension(self, pattern):
+        spec = spec_of(pattern)
+        report = ehrhart_polynomial(spec)
+        assert report.all_match
+        assert report.degree == polytope_dimension(spec)

@@ -3,18 +3,31 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gtdata import FAMILY2, FAMILY2_SPEC, WORKED, WORKED_KERNEL_SPAN, WORKED_SPEC
+from gtdata import (
+    FAMILY2,
+    FAMILY2_SPEC,
+    WORKED,
+    WORKED_KERNEL_SPAN,
+    WORKED_SPEC,
+    integral_patterns,
+)
 from gtpoly import (
     GTPattern,
     InputError,
     MembershipError,
     PolytopeSpec,
+    Tiling,
     TilingDriftError,
     compute_tiling,
     construct_nonintegral_vertex,
+    enumerate_lattice_points,
+    enumerate_vertices,
     face_basis,
     face_dimension,
+    face_dimension_oracle,
     is_vertex,
     membership,
     nonintegrality_certificate,
@@ -232,11 +245,36 @@ class TestConstructNonIntegralVertex:
         with pytest.raises(InputError):
             construct_nonintegral_vertex(carrier, (1, 0, 1), 2, til)
 
+    @pytest.mark.parametrize("free", [(1, 99), (1, -1), (1, 1)])
+    def test_free_entries_must_be_distinct_tile_indices(self, free):
+        # carrier with one free tile (index 1); 99 is out of range, -1
+        # would read as the last tile, which is fixed, and 1 repeats
+        carrier = GTPattern.from_rows(
+            [[3, 3, 1, 0, 0], [3, 2, 1, 0], [2, 2, 0], [2, 1], [1]])
+        til = compute_tiling(carrier)
+        assert til.free == (1,)
+        with pytest.raises(InputError, match="distinct tile indices"):
+            construct_nonintegral_vertex(carrier, (1, 1), 2, Tiling(til.n, til.tiles, free))
+
 
 class TestOracleAgreement:
-    def test_face_dimension_matches_oracle_on_named_points(self):
-        from gtpoly import face_dimension_oracle
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(integral_patterns(min_n=3), st.lists(
+        st.tuples(st.integers(0, 10**6), st.integers(1, 4)), min_size=2, max_size=4))
+    def test_face_dimension_matches_oracle_on_generated_members(self, pattern, picks):
+        # a positive combination of lattice points and vertices of one
+        # polytope is a member, on a face of any dimension
+        spec = spec_of(pattern)
+        points = enumerate_lattice_points(spec) + enumerate_vertices(spec)
+        total = sum(w for _, w in picks)
+        rows = [[Fraction(0)] * len(row) for row in pattern.rows]
+        for index, w in picks:
+            for row, prow in zip(rows, points[index % len(points)].rows):
+                row[:] = [v + Fraction(w, total) * p for v, p in zip(row, prow)]
+        x = GTPattern.from_bottom_rows(rows)
+        assert face_dimension(x, spec) == face_dimension_oracle(x, spec)
 
+    def test_face_dimension_matches_oracle_on_named_points(self):
         cases = [
             (WORKED, WORKED_SPEC),
             (FAMILY2, FAMILY2_SPEC),
