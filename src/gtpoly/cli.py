@@ -18,6 +18,7 @@ from .core import (
     GTPattern,
     PolytopeSpec,
     embed,
+    is_int,
     validate_pattern,
     weight_of,
 )
@@ -57,10 +58,6 @@ def _read_json(value: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON: {exc}") from exc
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _pattern_arg(value: str) -> GTPattern:
@@ -117,7 +114,7 @@ def _run_construct(args) -> tuple[dict, int]:
     if not isinstance(payload, dict) or not {"pattern", "xi", "q"} <= payload.keys():
         raise InputError("construct expects JSON with 'pattern', 'xi', and 'q' keys")
     xi, q = payload["xi"], payload["q"]
-    if not isinstance(xi, list) or not all(_is_int(v) for v in xi) or not _is_int(q):
+    if not isinstance(xi, list) or not all(is_int(v) for v in xi) or not is_int(q):
         raise ShapeError("construct expects 'xi' to be a list of integers and 'q' an integer")
     til = tiling.Tiling.from_json(payload["tiling"]) if payload.get("tiling") else None
     result = faces.construct_nonintegral_vertex(

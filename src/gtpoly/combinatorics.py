@@ -20,7 +20,8 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator, Optional, Sequence
 
-from .core import GTPattern, PolytopeSpec, rational_to_json
+from . import linalg
+from .core import GTPattern, PolytopeSpec, is_int, rational_to_json
 from .errors import InputError, ShapeError
 
 
@@ -35,7 +36,7 @@ class Tableau:
         for r, row in enumerate(self.rows):
             if not row:
                 raise ShapeError(f"tableau row {r + 1} is empty; drop empty rows")
-            if any(not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in row):
+            if any(not is_int(v) or v < 1 for v in row):
                 raise ShapeError(f"tableau row {r + 1} has a non-positive-integer entry")
             if any(a > b for a, b in zip(row, row[1:])):
                 raise ShapeError(f"tableau row {r + 1} is not weakly increasing")
@@ -65,11 +66,7 @@ class Tableau:
         rows = obj.get("rows") if isinstance(obj, dict) else obj
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ShapeError("tableau JSON must be a list of rows (or {'rows': [...]})")
-        try:
-            rows = tuple(tuple(int(v) for v in row) for row in rows)
-        except (TypeError, ValueError) as exc:
-            raise ShapeError(f"tableau entries must be integers: {exc}") from exc
-        return cls(rows)
+        return cls(tuple(tuple(row) for row in rows))
 
     def to_json(self) -> dict:
         return {"shape": list(self.shape), "rows": [list(row) for row in self.rows]}
@@ -164,9 +161,10 @@ def enumerate_tableaux(shape: Sequence[int], content: Sequence[int]) -> list[Tab
     Direct cell-by-cell backtracking, independent of the lattice-point
     enumeration; intended for cross-checking counts on small inputs.
     """
-    shape = [int(v) for v in shape if int(v) > 0]
-    if any(a < b for a, b in zip(shape, shape[1:])):
+    shape = [int(v) for v in shape]
+    if any(v < 0 for v in shape) or any(a < b for a, b in zip(shape, shape[1:])):
         return []
+    shape = [v for v in shape if v]
     letters = len(content)
     remaining = [int(c) for c in content]
     if sum(remaining) != sum(shape) or any(c < 0 for c in remaining):
@@ -222,26 +220,6 @@ def ehrhart_values(spec: PolytopeSpec, m_max: int) -> list[EhrhartSample]:
             for m in range(1, m_max + 1)]
 
 
-def _interpolate(points: Sequence[tuple[int, int]]) -> list[Fraction]:
-    """Exact coefficients (ascending degree) of the interpolating polynomial."""
-    coeffs = [Fraction(0)] * len(points)
-    for xi, yi in points:
-        # Lagrange basis polynomial for xi, expanded incrementally
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for xj, _ in points:
-            if xj == xi:
-                continue
-            denom *= xi - xj
-            basis = [Fraction(0)] + basis
-            for t in range(len(basis) - 1):
-                basis[t] -= xj * basis[t + 1]
-        scale = Fraction(yi) / denom
-        for t, b in enumerate(basis):
-            coeffs[t] += scale * b
-    return coeffs
-
-
 def evaluate_polynomial(coeffs: Sequence[Fraction], m: int) -> Fraction:
     acc = Fraction(0)
     for c in reversed(list(coeffs)):
@@ -294,8 +272,9 @@ def ehrhart_polynomial(spec: PolytopeSpec, degree_hint: Optional[int] = None,
     counts += [count_lattice_points(spec.dilate(m))
                for m in range(len(counts), degree + 2 + extra_checks)]
     samples = [EhrhartSample(m, counts[m]) for m in range(1, degree + 2 + extra_checks)]
-    base = [(s.m, s.count) for s in samples[:degree + 1]]
-    coeffs = _interpolate(base)
+    # the coefficients (ascending degree) solve the Vandermonde system at m = 1..D+1
+    coeffs = linalg.solve([[m ** t for t in range(degree + 1)] for m in range(1, degree + 2)],
+                          counts[1:degree + 2])
     checks = []
     all_match = True
     for s in samples[degree + 1:]:

@@ -29,11 +29,16 @@ from .errors import InputError, MembershipError, ShapeError
 RationalLike = Union[int, str, Fraction]
 
 
+def is_int(value) -> bool:
+    """True for an int that is not a bool; JSON readers accept nothing else."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_rational(value: RationalLike) -> Fraction:
     """Parse an exact rational from an int, a Fraction, or a "p/q" string."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
+    if is_int(value):
         return Fraction(value)
     if isinstance(value, float):
         raise ShapeError(f"floating-point entry {value!r} rejected; use an integer or a 'p/q' string")
@@ -158,7 +163,7 @@ class PolytopeSpec:
             raise ShapeError("lambda and mu must be nonempty")
         for name, vec in (("lambda", self.lam), ("mu", self.mu)):
             for v in vec:
-                if not isinstance(v, int) or isinstance(v, bool):
+                if not is_int(v):
                     raise ShapeError(f"{name} entries must be integers, got {v!r}")
 
     @property

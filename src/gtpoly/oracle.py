@@ -6,11 +6,13 @@ GT(lambda, mu) -- top-row and row-sum equalities plus nonnegativity and
 interlacing inequalities -- and never looks at tilings, so its answers
 cross-check the tiling-based certification independently.
 
-Vertex enumeration restricts to the affine hull of the equality system
-and runs an exact double-description sweep over the homogenized
-inequality cone.  It is guarded to pattern sizes n <= 6 by default
-(override with the GTPOLY_SCALE_GUARD environment variable, at your own
-risk: the ray count grows quickly).
+Vertex enumeration homogenizes the system once: the polytope is the
+t = 1 slice of the cone {(x, t) : eq . x = t * rhs, ineq . x >= t * rhs,
+t >= 0}, whose extreme rays an exact double-description sweep finds in
+integer coordinates on an integer basis of the cone's span.  It is
+guarded to pattern sizes n <= 6 by default (override with the
+GTPOLY_SCALE_GUARD environment variable, at your own risk: the ray
+count grows quickly).
 """
 
 from __future__ import annotations
@@ -152,17 +154,11 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, .
     ]
     for pos in range(dim, len(order)):
         row = rows[order[pos]]
-        vals = [_dot(row, vec) for vec, _ in current]
-        if all(v >= 0 for v in vals):
-            current = [
-                (vec, mask | (1 << pos) if v == 0 else mask)
-                for (vec, mask), v in zip(current, vals)
-            ]
-            continue
         keep = []
         positives = []
         negatives = []
-        for (vec, mask), v in zip(current, vals):
+        for vec, mask in current:
+            v = _dot(row, vec)
             if v > 0:
                 keep.append((vec, mask))
                 positives.append((vec, mask, v))
@@ -194,8 +190,9 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, .
 def enumerate_vertices(spec: PolytopeSpec) -> list[GTPattern]:
     """Every vertex of GT(spec), exactly, in canonical order.
 
-    Solves the equality system, rewrites the inequalities on the affine
-    hull, and extracts the extreme rays of the homogenized cone.  Empty
+    Eliminates the homogenized equalities [eq | -rhs] once, rewrites the
+    inequalities and t >= 0 on an integer basis of the cone's span, and
+    maps each extreme ray (x, t) back to the vertex x / t.  Empty
     polytopes give an empty list.  Guarded to n <= 6 by default.
     """
     guard = scale_guard()
@@ -205,42 +202,23 @@ def enumerate_vertices(spec: PolytopeSpec) -> list[GTPattern]:
             "set GTPOLY_SCALE_GUARD to override")
     cs = constraint_system(spec)
     nvars = len(cs.cells)
-    # one elimination of [eq | rhs] gives a particular solution and the hull basis
-    hull = linalg.eliminate([list(row) + [rhs] for row, rhs in cs.equalities], nvars + 1)
-    x0 = hull.solution(nvars)
-    if x0 is None:
-        return []
-    basis = hull.kernel(nvars)
-    d = len(basis)
-    if d == 0:
-        point = cs.pattern(x0)
-        ok = all(sum(c * v for c, v in zip(row, x0)) >= rhs
-                 for row, rhs in cs.inequalities)
-        return [point] if ok else []
+    hull = linalg.eliminate([list(row) + [-rhs] for row, rhs in cs.equalities], nvars + 1)
+    if nvars in hull.pivots:
+        return []  # the equalities force t = 0: inconsistent
+    basis = hull.kernel(nvars + 1)
 
-    projected: dict[tuple[int, ...], None] = {}
-    for row, rhs in cs.inequalities:
-        normal = [_dot(row, b) for b in basis]
-        offset = Fraction(rhs) - sum((c * v for c, v in zip(row, x0)), Fraction(0))
-        if all(v == 0 for v in normal):
-            if offset > 0:
-                return []
-            continue
-        hom = linalg.primitive_integer([-offset] + normal, fix_sign=False)
-        projected.setdefault(hom)
-    hom_rows = [tuple([1] + [0] * d)] + list(projected)
+    # row . x >= rhs * t, and t >= 0, in the coordinates of the basis
+    cone = [[b[nvars] for b in basis]]
+    cone += [[_dot(row, b) - rhs * b[nvars] for b in basis] for row, rhs in cs.inequalities]
+    rows = dict.fromkeys(linalg.primitive_integer(r, fix_sign=False) for r in cone if any(r))
 
-    rays = _dd_extreme_rays(hom_rows, d + 1)
     patterns = []
-    for ray in rays:
-        if ray[0] <= 0:
+    for ray in _dd_extreme_rays(list(rows), len(basis)):
+        coords = [sum(r * b[k] for r, b in zip(ray, basis)) for k in range(nvars + 1)]
+        if coords[nvars] <= 0:
             raise VerificationError(
                 "double description produced a recession ray for a bounded polytope")
-        coords = list(x0)
-        for t_val, b in zip(ray[1:], basis):
-            scale = Fraction(t_val, ray[0])
-            coords = [c + scale * bv for c, bv in zip(coords, b)]
-        pattern = cs.pattern(coords)
+        pattern = cs.pattern([Fraction(c, coords[nvars]) for c in coords[:nvars]])
         require_membership(pattern, spec)
         patterns.append(pattern)
     patterns.sort(key=lambda p: p.rows)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import GTPattern, validate_pattern
+from .core import GTPattern, is_int, validate_pattern
 from .errors import InputError, ShapeError
 
 # allowed connectivity steps (delta_i, delta_j)
@@ -58,13 +58,14 @@ class Tiling:
         if not isinstance(obj, dict) or "tiles" not in obj or "free" not in obj:
             raise ShapeError("tiling JSON must be an object with 'tiles' and 'free' keys")
         try:
-            tiles = tuple(
-                tuple(sorted((int(i), int(j)) for i, j in tile)) for tile in obj["tiles"]
-            )
-            n = int(obj.get("n") or max((j for tile in tiles for (_, j) in tile), default=0))
-            free = tuple(int(t) for t in obj["free"])
+            tiles = tuple(tuple(sorted((i, j) for i, j in tile)) for tile in obj["tiles"])
+            free = tuple(obj["free"])
         except (TypeError, ValueError) as exc:
             raise ShapeError(f"malformed tiling JSON: {exc}") from exc
+        entries = [obj.get("n") or 0, *free, *(v for tile in tiles for cell in tile for v in cell)]
+        if not all(map(is_int, entries)):
+            raise ShapeError("tiling cells, free indices and n must be integers")
+        n = obj.get("n") or max((j for tile in tiles for (_, j) in tile), default=0)
         return cls(n, tiles, free)
 
 

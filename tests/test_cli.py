@@ -268,13 +268,24 @@ class TestParseErrors:
         assert code == 2
         assert "error" in out
 
+    def test_construct_float_tiling_cell(self, capsys):
+        # the tiling of the vertex to construct, with cell (1, 1) written
+        # [1.9, 1]: a float is rejected, not truncated to the valid tiling
+        _, tiling = run(capsys, "tiling", pattern_json(FAMILY2))
+        assert tiling["tiles"][0][0] == [1, 1]
+        tiling["tiles"][0][0][0] = 1.9
+        code, out = self.construct(capsys, tiling=tiling)
+        assert code == 2
+        assert "error" in out
+
     @pytest.mark.parametrize("spec", ['{"lambda": 5, "mu": 5}', '{"lambda": [1, 0], "mu": null}'])
     def test_spec_field_not_a_list(self, capsys, spec):
         code, out = run(capsys, "kostka", spec)
         assert code == 2
         assert "error" in out
 
-    @pytest.mark.parametrize("tableau", ['[[1, "x"], [2]]', '{"shape": [2]}'])
+    @pytest.mark.parametrize("tableau", ['[[1, "x"], [2]]', '{"shape": [2]}',
+                                         '[[1.5]]', '[[true]]', '[["2"]]'])
     def test_from_tableau_malformed(self, capsys, tableau):
         code, out = run(capsys, "from-tableau", tableau, "--n", "3")
         assert code == 2

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gtdata import (
@@ -150,10 +150,14 @@ class TestCountLatticePoints:
     @SETTINGS
     @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
         *[st.lists(st.integers(-1, 3), min_size=n, max_size=n)] * 2)))
+    @example(([0, 1], [1, 0]))  # shapes that are partitions only after dropping zeros
+    @example(([1, 0, 1], [1, 1, 0]))
     def test_matches_enumeration_on_arbitrary_vectors(self, vectors):
         # unsorted lambda, negative entries and sum mismatches included
         spec = PolytopeSpec(*map(tuple, vectors))
-        assert count_lattice_points(spec) == len(enumerate_lattice_points(spec))
+        count = count_lattice_points(spec)
+        assert count == len(enumerate_lattice_points(spec))
+        assert count == len(enumerate_tableaux(spec.lam, spec.mu))
 
     @SETTINGS
     @given(st.lists(st.integers(1, 4), min_size=1, max_size=3)

@@ -2,8 +2,9 @@
 seeded sampling."""
 
 import pytest
+from hypothesis import example, given, settings
 
-from gtdata import FAMILY2, FAMILY2_SPEC, WORKED, WORKED_SPEC
+from gtdata import FAMILY2, FAMILY2_SPEC, WORKED, WORKED_SPEC, small_specs
 from gtpoly import (
     GTPattern,
     InputError,
@@ -82,16 +83,19 @@ class TestEnumerateVertices:
         assert all(membership(v, WORKED_SPEC) for v in vertices)
         assert len(set(vertices)) == len(vertices)
 
-    def test_matches_vertex_criterion_both_ways(self):
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(small_specs(max_n=4))
+    @example(FAMILY2_SPEC)
+    @example(PolytopeSpec((2, 1, 0), (1, 1, 1)))
+    @example(PolytopeSpec((3, 2, 1, 0), (2, 2, 1, 1)))
+    def test_matches_vertex_criterion_both_ways(self, spec):
         # every enumerated vertex certifies as one, every lattice point
         # that certifies as a vertex is in the list
-        for spec in (FAMILY2_SPEC, PolytopeSpec((2, 1, 0), (1, 1, 1)),
-                     PolytopeSpec((3, 2, 1, 0), (2, 2, 1, 1))):
-            vertices = enumerate_vertices(spec)
-            for v in vertices:
-                assert is_vertex(v, spec)
-            for point in enumerate_lattice_points(spec):
-                assert (point in vertices) == is_vertex(point, spec)
+        vertices = enumerate_vertices(spec)
+        for v in vertices:
+            assert is_vertex(v, spec)
+        for point in enumerate_lattice_points(spec):
+            assert (point in vertices) == is_vertex(point, spec)
 
     def test_scale_guard(self):
         big = PolytopeSpec((1,) * 7, (1,) * 7)

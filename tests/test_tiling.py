@@ -16,6 +16,7 @@ from gtdata import (
 from gtpoly import (
     GTPattern,
     InputError,
+    ShapeError,
     Tiling,
     compute_tiling,
     tiling_matrix,
@@ -62,6 +63,19 @@ class TestComputeTiling:
         til = compute_tiling(WORKED)
         again = Tiling.from_json(til.to_json())
         assert again == til
+
+    @pytest.mark.parametrize("path, value", [
+        (("tiles", 0, 0, 1), True), (("free", 0), 1.0), (("n",), "5")],
+        ids=["bool-cell", "float-free", "string-n"])
+    def test_json_rejects_non_integers(self, path, value):
+        obj = compute_tiling(WORKED).to_json()
+        *parents, last = path
+        target = obj
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ShapeError):
+            Tiling.from_json(obj)
 
 
 class TestConnectivityIsLiteral:
