@@ -9,6 +9,7 @@ problem, and 3 a failed internal verification.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -18,7 +19,6 @@ from .core import (
     GTPattern,
     PolytopeSpec,
     embed,
-    is_int,
     validate_pattern,
     weight_of,
 )
@@ -113,12 +113,9 @@ def _run_construct(args) -> tuple[dict, int]:
     payload = _read_json(args.input)
     if not isinstance(payload, dict) or not {"pattern", "xi", "q"} <= payload.keys():
         raise InputError("construct expects JSON with 'pattern', 'xi', and 'q' keys")
-    xi, q = payload["xi"], payload["q"]
-    if not isinstance(xi, list) or not all(is_int(v) for v in xi) or not is_int(q):
-        raise ShapeError("construct expects 'xi' to be a list of integers and 'q' an integer")
     til = tiling.Tiling.from_json(payload["tiling"]) if payload.get("tiling") else None
     result = faces.construct_nonintegral_vertex(
-        GTPattern.from_json(payload["pattern"]), xi, q, til)
+        GTPattern.from_json(payload["pattern"]), payload["xi"], payload["q"], til)
     return result.to_json(), 0
 
 
@@ -231,6 +228,7 @@ def _run_repro(args) -> tuple[dict, int]:
     return {"results": results, "all_pass": all_pass}, 0 if all_pass else 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gtpoly",

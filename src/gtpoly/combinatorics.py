@@ -24,6 +24,8 @@ from . import linalg
 from .core import GTPattern, PolytopeSpec, is_int, rational_to_json
 from .errors import InputError, ShapeError
 
+EXTRA_CHECKS = 3  # dilations past m = D+1 at which the Ehrhart interpolant is re-checked
+
 
 @dataclass(frozen=True)
 class Tableau:
@@ -247,8 +249,7 @@ class EhrhartReport:
         }
 
 
-def ehrhart_polynomial(spec: PolytopeSpec, degree_hint: Optional[int] = None,
-                       extra_checks: int = 3) -> EhrhartReport:
+def ehrhart_polynomial(spec: PolytopeSpec, degree_hint: Optional[int] = None) -> EhrhartReport:
     """Interpolate the dilation counting function and verify the interpolant.
 
     Stretched Kostka numbers are polynomial in m, with value 1 at m = 0
@@ -256,22 +257,23 @@ def ehrhart_polynomial(spec: PolytopeSpec, degree_hint: Optional[int] = None,
     ``degree_hint`` overrides it, D is the highest order of finite
     difference of the counts at m = 0..B+1 that is not all zero.  Counts
     at m = 1..D+1 determine the polynomial, which is then compared against
-    the true counts at ``extra_checks`` further dilations.  A mismatch is
-    reported, never swallowed.
+    the true counts at `EXTRA_CHECKS` further dilations.  A mismatch is
+    reported, never swallowed; an empty polytope is rejected.
     """
-    counts, degree = [1], degree_hint  # counts[m]: lattice points of the m-th dilation
+    # counts[m]: lattice points of the m-th dilation
+    counts, degree = [1, count_lattice_points(spec)], degree_hint
+    if counts[1] == 0:
+        raise InputError("polytope is empty; no counting polynomial exists")
     if degree is None:
-        counts += [s.count for s in ehrhart_values(spec, comb(spec.n - 1, 2) + 1)]
-        if counts[1] == 0:
-            raise InputError("polytope is empty; no counting polynomial exists")
+        counts += [count_lattice_points(spec.dilate(m)) for m in range(2, comb(spec.n - 1, 2) + 2)]
         degree, diffs = 0, counts
         while any(diffs := [b - a for a, b in zip(diffs, diffs[1:])]):
             degree += 1
     if degree < 0:
         raise InputError(f"degree hint must be nonnegative, got {degree}")
     counts += [count_lattice_points(spec.dilate(m))
-               for m in range(len(counts), degree + 2 + extra_checks)]
-    samples = [EhrhartSample(m, counts[m]) for m in range(1, degree + 2 + extra_checks)]
+               for m in range(len(counts), degree + 2 + EXTRA_CHECKS)]
+    samples = [EhrhartSample(m, counts[m]) for m in range(1, degree + 2 + EXTRA_CHECKS)]
     # the coefficients (ascending degree) solve the Vandermonde system at m = 1..D+1
     coeffs = linalg.solve([[m ** t for t in range(degree + 1)] for m in range(1, degree + 2)],
                           counts[1:degree + 2])

@@ -25,13 +25,14 @@ from . import linalg
 from .core import (
     GTPattern,
     PolytopeSpec,
+    is_int,
     membership,
     rational_to_json,
     require_membership,
     spec_of,
     validate_pattern,
 )
-from .errors import InputError, TilingDriftError, VerificationError
+from .errors import InputError, ShapeError, TilingDriftError, VerificationError
 from .tiling import Tiling, TilingMatrix, compute_tiling, tiling_matrix_of
 
 DirectionRows = tuple[tuple[Fraction, ...], ...]
@@ -272,6 +273,8 @@ def construct_nonintegral_vertex(x_int: GTPattern, xi: Sequence[int], q: int,
     that its tiling is exactly the one built from, and that it is a
     vertex whose entry denominators have lcm q; any drift fails loudly.
     """
+    if not isinstance(xi, (list, tuple)) or not all(map(is_int, xi)) or not is_int(q):
+        raise ShapeError("xi must be a list of integers and q an integer")
     report = validate_pattern(x_int)
     if report:
         raise InputError(f"carrier pattern is invalid ({len(report)} violations)")
@@ -284,7 +287,6 @@ def construct_nonintegral_vertex(x_int: GTPattern, xi: Sequence[int], q: int,
         raise InputError(f"tiling has n={til.n} but pattern has n={x_int.n}")
     _check_tiling_structure(til, x_int)
 
-    xi = [int(v) for v in xi]
     if len(xi) != len(til.free):
         raise InputError(f"xi has {len(xi)} coordinates but the tiling has {len(til.free)} free tiles")
     if any(not 0 <= v < q for v in xi):

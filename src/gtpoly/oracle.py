@@ -123,36 +123,27 @@ def _dot(row: Sequence[int], vec: Sequence[int]) -> int:
 def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
     """Extreme rays of the pointed cone {z : row . z >= 0 for all rows}.
 
-    Standard double-description sweep: start from a simplicial subcone
-    cut out by `dim` independent rows, then add the remaining rows one
-    at a time, keeping exact integer ray vectors and combinatorial
-    tight-set adjacency.
+    Double-description sweep (Motzkin et al. 1953; Fukuda-Prodon 1996):
+    one elimination of [rows^T | I] picks the greedy first `dim`
+    independent rows B and inverts them, giving the simplicial cone
+    B z >= 0 whose rays are the columns of B^-1; the remaining rows are
+    then added one at a time.  Rays are primitive integer vectors, each
+    with the bit mask of the processed rows it is tight on; two rays are
+    adjacent when no third ray is tight on every row they share.
     """
-    # the greedy first `dim` independent rows: pivot columns of the transpose
-    selected = linalg.eliminate(list(zip(*rows)), len(rows)).pivots
+    m = len(rows)
+    # right-block row i is d * B^-1 e_i: the simplicial ray tight on all of B but row i
+    echelon = linalg.eliminate([list(col) + [int(i == j) for j in range(dim)]
+                                for i, col in enumerate(zip(*rows))], m + dim)
+    selected = [p for p in echelon.pivots if p < m]
     if len(selected) < dim:
         raise VerificationError("inequality normals do not span; cone is not pointed")
-
-    order = selected + [i for i in range(len(rows)) if i not in set(selected)]
-    # the simplicial rays are the columns of the inverse of the selected rows
-    inverse = linalg.eliminate([list(rows[idx]) + [int(i == j) for j in range(dim)]
-                                for i, idx in enumerate(selected)])
-    sign = 1 if inverse.d > 0 else -1
-    rays = [linalg.primitive_integer([sign * row[dim + j] for row in inverse.rows],
-                                     fix_sign=False)
-            for j in range(dim)]
-
-    def tight_mask(vec: tuple[int, ...], upto: int) -> int:
-        mask = 0
-        for pos in range(upto):
-            if _dot(rows[order[pos]], vec) == 0:
-                mask |= 1 << pos
-        return mask
-
-    current: list[tuple[tuple[int, ...], int]] = [
-        (r, tight_mask(r, dim)) for r in rays
-    ]
-    for pos in range(dim, len(order)):
+    order = selected + [i for i in range(m) if i not in selected]
+    sign = 1 if echelon.d > 0 else -1
+    current = [(linalg.primitive_integer([sign * v for v in row[m:]], fix_sign=False),
+                ((1 << dim) - 1) ^ (1 << i))
+               for i, row in enumerate(echelon.rows)]
+    for pos in range(dim, m):
         row = rows[order[pos]]
         keep = []
         positives = []
@@ -179,10 +170,11 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, .
                         break
                 if not adjacent:
                     continue
-                new_vec = linalg.primitive_integer(
-                    [pval * b - nval * a for a, b in zip(pvec, nvec)], fix_sign=False)
-                if new_vec not in fresh:
-                    fresh[new_vec] = tight_mask(new_vec, pos + 1)
+                # the new ray is a positive combination of two rays of the cone,
+                # so a processed row vanishes on it exactly when it vanishes on both
+                fresh[linalg.primitive_integer(
+                    [pval * b - nval * a for a, b in zip(pvec, nvec)],
+                    fix_sign=False)] = common | (1 << pos)
         current = keep + list(fresh.items())
     return [vec for vec, _ in current]
 
@@ -236,8 +228,6 @@ def polytope_dimension(spec: PolytopeSpec) -> int:
         [a - b for a, b in zip(cs.coordinates(v), first)]
         for v in vertices[1:]
     ]
-    if not diffs:
-        return 0
     return linalg.rank(diffs, cols=len(cs.cells))
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtdata import BIJ, FAMILY2, FAMILY2_SPEC, WORKED, WORKED_MATRIX, WORKED_SPEC
-from gtpoly.cli import main
+from gtpoly.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -169,6 +169,12 @@ class TestCountingSubcommands:
         assert out["degree"] == 2
         assert out["all_match"] is True
 
+    @pytest.mark.parametrize("hint", [[], ["--degree-hint", "1"]])
+    def test_ehrhart_empty_polytope_exit_2(self, capsys, hint):
+        code, out = run(capsys, "ehrhart", '{"lambda": [0, 1], "mu": [1, 0]}', *hint)
+        assert code == 2
+        assert "empty" in out["error"]
+
     def test_vertices_and_oracle_face_dim(self, capsys):
         code, out = run(capsys, "vertices", spec_json(FAMILY2_SPEC))
         assert code == 0
@@ -238,6 +244,33 @@ class TestArgErrors:
         assert "error" in out
 
 
+class TestRepeatedCalls:
+    ARGVS = [
+        ["--pretty", "embed", pattern_json(BIJ)],
+        ["embed", pattern_json(BIJ)],
+        ["ehrhart", spec_json(FAMILY2_SPEC), "--mmax", "2"],
+        ["ehrhart", spec_json(FAMILY2_SPEC), "--degree-hint", "4"],
+        ["ehrhart", spec_json(FAMILY2_SPEC)],
+        ["family", "--k", "2", "--even"],
+        ["family", "--k", "2"],
+        ["--pretty", "points", spec_json(FAMILY2_SPEC)],
+        ["points", spec_json(FAMILY2_SPEC)],
+    ]
+
+    def test_shared_parser_keeps_no_state_between_calls(self, capsys):
+        # each call on a freshly built parser, then all calls on one parser
+        fresh = []
+        for argv in self.ARGVS:
+            build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        shared = [run(capsys, *argv) for argv in self.ARGVS]
+        assert build_parser() is build_parser()
+        assert shared == fresh
+        assert "pretty" in shared[0][1] and "pretty" not in shared[1][1]
+        assert "values" in shared[2][1] and "values" not in shared[4][1]
+        assert shared[5][1]["n"] == 6 and shared[6][1]["n"] == 5
+
+
 class TestEmptySpec:
     @pytest.mark.parametrize("command", ["ehrhart", "vertices", "points"])
     def test_empty_spec_exit_2(self, capsys, command):
@@ -255,6 +288,11 @@ class TestParseErrors:
 
     def test_construct_non_integer_xi_entry(self, capsys):
         code, out = self.construct(capsys, xi=[1, "one", 1])
+        assert code == 2
+        assert "error" in out
+
+    def test_construct_xi_not_a_list(self, capsys):
+        code, out = self.construct(capsys, xi=5)
         assert code == 2
         assert "error" in out
 

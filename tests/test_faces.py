@@ -19,6 +19,7 @@ from gtpoly import (
     InputError,
     MembershipError,
     PolytopeSpec,
+    ShapeError,
     Tiling,
     TilingDriftError,
     compute_tiling,
@@ -195,6 +196,15 @@ class TestConstructNonIntegralVertex:
         assert is_vertex(result.pattern, result.spec)
         # top row doubles; the weight picks up the half-cell contributions
         assert result.spec == PolytopeSpec((4, 4, 2, 0, 0), (2, 3, 2, 2, 1))
+
+    @pytest.mark.parametrize("xi, q", [((1.9, 1, 1), 2), ((True, 1, 1), 2), ([1, 1, 1], 2.0),
+                                       (5, 2), ("111", 2)])
+    def test_non_integer_xi_or_q_rejected(self, xi, q):
+        # (1, 1, 1) with q = 2 builds a vertex from this carrier (see above):
+        # nothing may be coerced into it
+        carrier = GTPattern(tuple(tuple(2 * v for v in row) for row in FAMILY2.rows))
+        with pytest.raises(ShapeError):
+            construct_nonintegral_vertex(carrier, xi, q)
 
     def test_zero_xi_returns_carrier_flagged_integral(self):
         til = compute_tiling(FAMILY2)

@@ -1,8 +1,11 @@
 """Brute-force polyhedral oracle: tight-constraint ranks, vertex enumeration,
 seeded sampling."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gtdata import FAMILY2, FAMILY2_SPEC, WORKED, WORKED_SPEC, small_specs
 from gtpoly import (
@@ -21,6 +24,8 @@ from gtpoly import (
     polytope_dimension,
     sample_points,
 )
+from gtpoly.linalg import kernel_basis, primitive_integer, rank
+from gtpoly.oracle import _dd_extreme_rays
 
 POINT_SPEC = PolytopeSpec((3, 1, 0), (3, 1, 0))
 
@@ -224,3 +229,39 @@ class TestDoubleDescriptionAgainstBasicSolutions:
             dd = enumerate_vertices(spec)
             assert dd == naive_vertices(spec)
             assert len(dd) >= 2
+
+
+@st.composite
+def pointed_cones(draw):
+    """Distinct primitive rows, shuffled: the unit rows, which make the cone
+    pointed, plus up to 5 rows with entries in -3..3."""
+    dim = draw(st.integers(1, 4))
+    extra = draw(st.lists(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
+                          max_size=5))
+    units = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    rows = dict.fromkeys(primitive_integer(r, fix_sign=False) for r in units + extra if any(r))
+    return draw(st.permutations(list(rows))), dim
+
+
+def brute_force_extreme_rays(rows, dim):
+    """A nonzero member of a pointed cone is extreme iff its tight rows have
+    rank dim - 1: try both directions of the kernel of every such subset."""
+    rays = set()
+    for subset in combinations(rows, dim - 1):
+        if rank(list(subset), cols=dim) != dim - 1:
+            continue
+        (z,) = kernel_basis(list(subset), cols=dim)
+        for ray in (z, tuple(-v for v in z)):
+            if all(sum(a * b for a, b in zip(row, ray)) >= 0 for row in rows):
+                rays.add(ray)
+    return rays
+
+
+class TestDoubleDescriptionOnGeneratedCones:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(pointed_cones())
+    def test_matches_brute_force_extreme_rays(self, cone):
+        rows, dim = cone
+        rays = _dd_extreme_rays(rows, dim)
+        assert len(set(rays)) == len(rays)
+        assert set(rays) == brute_force_extreme_rays(rows, dim)
