@@ -6,6 +6,7 @@ point anywhere in the package."""
 from .combinatorics import (
     EhrhartReport,
     EhrhartSample,
+    LatticePoints,
     Tableau,
     count_lattice_points,
     ehrhart_polynomial,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -69,10 +70,14 @@ def _spec_arg(value: str) -> PolytopeSpec:
 
 
 def _attach_pretty(payload: dict) -> None:
+    """Render the payload if it is a pattern, and every pattern under its
+    ``pattern`` key or in its ``patterns`` or ``vertices`` list."""
     if "rows" in payload and "n" in payload:
         payload["pretty"] = GTPattern.from_json(payload).pretty()
-    elif isinstance(payload.get("pattern"), dict):
-        payload["pattern"]["pretty"] = GTPattern.from_json(payload["pattern"]).pretty()
+    nested = [payload.get("pattern"), *payload.get("patterns", []), *payload.get("vertices", [])]
+    for item in nested:
+        if isinstance(item, dict):
+            _attach_pretty(item)
 
 
 def _run_validate(args) -> tuple[dict, int]:
@@ -298,17 +303,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         payload, status = args.func(args)
     except (ShapeError, InputError, ScaleGuardError) as exc:
-        print(json.dumps({"error": str(exc)}, indent=2))
-        return 2
+        payload, status = {"error": str(exc)}, 2
     except MembershipError as exc:
-        print(json.dumps({"error": str(exc), "report": exc.report}, indent=2))
-        return 2
+        payload, status = {"error": str(exc), "report": exc.report}, 2
     except VerificationError as exc:
-        print(json.dumps({"error": str(exc)}, indent=2))
-        return 3
+        payload, status = {"error": str(exc)}, 3
     if args.pretty and isinstance(payload, dict):
         _attach_pretty(payload)
-    print(json.dumps(payload, indent=2))
+    try:
+        print(json.dumps(payload, indent=2), flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout early; send what is still buffered to
+        # devnull, so that the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return status
 
 

@@ -3,9 +3,8 @@
 Integral members of GT(lambda, mu) correspond one-to-one with
 semistandard Young tableaux of shape lambda and content mu: reading the
 pattern rows bottom-up as a growing chain of partitions, the cells added
-by row j are filled with the letter j.  One row recursion enumerates the
-lattice points and, merging equal rows level by level, counts them
-without building any; the Kostka number is that count.
+by row j are filled with the letter j.  One row DP, `LatticePoints`,
+counts the lattice points (the Kostka number) and unranks any of them.
 
 The dilation counting function m -> #(GT(m*lambda, m*mu) lattice
 points) agrees with a single polynomial; `ehrhart_polynomial` reads its
@@ -15,6 +14,7 @@ interpolant at extra dilations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -119,42 +119,53 @@ def _rows_below(above: tuple[int, ...], target: int) -> Iterator[tuple[int, ...]
             yield (a,) + tail
 
 
+class LatticePoints(Sequence):  # not Sequence[GTPattern]: typing caches that, pinning the class
+    """The integral members of GT(spec) sorted by rows bottom-up; ``lp[r]``
+    unranks rank 0 <= r < len(lp) (Wilf's ranking framework).  A row DP runs
+    top-down from lambda; each distinct row of each level keeps ``[ways,
+    parents]``: the chains from lambda down to it (so the members continuing
+    upward from it) and the rows above that it interlaces."""
+
+    def __init__(self, spec: PolytopeSpec):
+        targets, lam = spec.row_targets(), spec.lam
+        self._levels = [{lam: [1, []]} if sum(lam) == targets[-1] and min(lam) >= 0 else {}]
+        for target in reversed(targets[:-1]):
+            below: dict[tuple[int, ...], list] = {}
+            for above, (w, _) in self._levels[-1].items():
+                for row in _rows_below(above, target):
+                    entry = below.setdefault(row, [0, []])
+                    entry[0] += w
+                    entry[1].append(above)
+            self._levels.append(below)
+        self._fraction_row = functools.cache(lambda row: tuple(map(Fraction, row)))
+
+    def __len__(self) -> int:
+        return sum(w for w, _ in self._levels[-1].values())
+
+    def __getitem__(self, r: int) -> GTPattern:
+        if not 0 <= r < len(self):
+            raise IndexError(f"rank {r} out of range for {len(self)} lattice points")
+        rows, candidates = [], sorted(self._levels[-1])
+        for level in reversed(self._levels):
+            for row in candidates:
+                ways, parents = level[row]
+                if r < ways:
+                    break
+                r -= ways
+            rows.append(self._fraction_row(row))  # one shared tuple per distinct row
+            parents.sort()  # in place, so a later rank through this row scans sorted parents
+            candidates = parents
+        return GTPattern(tuple(rows))
+
+
 def enumerate_lattice_points(spec: PolytopeSpec) -> list[GTPattern]:
-    """All integral members of GT(spec), duplicate-free.
-
-    A depth-first search over `_rows_below`, top-down from row n = lambda;
-    the output is sorted lexicographically by rows bottom-up.
-    """
-    targets = spec.row_targets()
-    if sum(spec.lam) != targets[-1] or min(spec.lam) < 0:
-        return []
-
-    def descend(rows: tuple[tuple[int, ...], ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if len(rows) == spec.n:
-            yield rows[::-1]
-        else:
-            for row in _rows_below(rows[-1], targets[len(rows[-1]) - 2]):
-                yield from descend(rows + (row,))
-
-    return [GTPattern(tuple(tuple(Fraction(v) for v in row) for row in rows))
-            for rows in sorted(descend((spec.lam,)))]
+    """All integral members of GT(spec), sorted lexicographically by rows bottom-up."""
+    return list(LatticePoints(spec))
 
 
 def count_lattice_points(spec: PolytopeSpec) -> int:
-    """Number of integral members of GT(spec), without building any: the
-    rows of `enumerate_lattice_points`, each distinct row expanded once per
-    level together with the number of ways lambda reaches it."""
-    targets = spec.row_targets()
-    if sum(spec.lam) != targets[-1] or min(spec.lam) < 0:
-        return 0
-    ways = {spec.lam: 1}
-    for target in reversed(targets[:-1]):
-        below: dict[tuple[int, ...], int] = {}
-        for above, w in ways.items():
-            for row in _rows_below(above, target):
-                below[row] = below.get(row, 0) + w
-        ways = below
-    return sum(ways.values())
+    """Number of integral members of GT(spec), without building any."""
+    return len(LatticePoints(spec))
 
 
 def enumerate_tableaux(shape: Sequence[int], content: Sequence[int]) -> list[Tableau]:

@@ -33,7 +33,7 @@ from .core import (
     validate_pattern,
 )
 from .errors import InputError, ShapeError, TilingDriftError, VerificationError
-from .tiling import Tiling, TilingMatrix, compute_tiling, tiling_matrix_of
+from .tiling import Tiling, TilingMatrix, compute_tiling, is_free_tile, tiling_matrix_of
 
 DirectionRows = tuple[tuple[Fraction, ...], ...]
 
@@ -185,6 +185,11 @@ def nonintegrality_certificate(x: GTPattern, spec: PolytopeSpec
     return _vertex_certificate(x, til, a)
 
 
+def _annihilates_mod(a: TilingMatrix, xi: Sequence[int], q: int) -> bool:
+    """Whether A xi = 0 (mod q)."""
+    return all(sum(av * xv for av, xv in zip(row, xi)) % q == 0 for row in a.entries)
+
+
 def _vertex_certificate(x: GTPattern, til: Tiling, a: TilingMatrix
                         ) -> Optional[NonIntegralityCertificate]:
     """`nonintegrality_certificate` of a vertex x, given its tiling and matrix."""
@@ -197,9 +202,8 @@ def _vertex_certificate(x: GTPattern, til: Tiling, a: TilingMatrix
         scaled = x.entry(i, j) * q
         assert scaled.denominator == 1
         xi.append(int(scaled) % q)
-    for row in a.entries:
-        if sum(av * xv for av, xv in zip(row, xi)) % q != 0:
-            raise VerificationError("tiling matrix does not annihilate xi mod q")
+    if not _annihilates_mod(a, xi, q):
+        raise VerificationError("tiling matrix does not annihilate xi mod q")
     unit_index = next((k for k, v in enumerate(xi) if gcd(v, q) == 1), None)
     if unit_index is None:
         # can only happen when the lcm q is assembled from strictly
@@ -254,8 +258,7 @@ def _check_tiling_structure(til: Tiling, x_int: GTPattern) -> None:
     if seen != cells:
         raise InputError("supplied tiling does not cover every pattern cell")
     for t, tile in enumerate(til.tiles):
-        is_free = (1, 1) not in tile and all(j != til.n for (_, j) in tile)
-        if is_free != (t in til.free):
+        if is_free_tile(tile, til.n) != (t in til.free):
             raise InputError(f"tile {t} has the wrong free/fixed status")
         values = {x_int.entry(i, j) for (i, j) in tile}
         if len(values) != 1:
@@ -295,9 +298,8 @@ def construct_nonintegral_vertex(x_int: GTPattern, xi: Sequence[int], q: int,
     a = tiling_matrix_of(til)
     if linalg.rank(a.entries, cols=a.cols) != a.cols:
         raise InputError("tiling matrix must have trivial kernel (the carrier must be a vertex)")
-    for row in a.entries:
-        if sum(av * xv for av, xv in zip(row, xi)) % q != 0:
-            raise InputError("tiling matrix does not annihilate xi mod q")
+    if not _annihilates_mod(a, xi, q):
+        raise InputError("tiling matrix does not annihilate xi mod q")
 
     transcript = [{"check": "preconditions", "pass": True}]
     if all(v == 0 for v in xi):

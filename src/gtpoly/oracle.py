@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .combinatorics import enumerate_lattice_points
+from .combinatorics import LatticePoints
 from .core import GTPattern, PolytopeSpec, pattern_cells, require_membership
 from .errors import InputError, ScaleGuardError, VerificationError
 
@@ -234,30 +234,30 @@ def polytope_dimension(spec: PolytopeSpec) -> int:
 def sample_points(spec: PolytopeSpec, count: int, seed: int) -> list[GTPattern]:
     """Deterministic members: lattice points, midpoints, vertex combinations.
 
-    Cycles through the three kinds, falling back to vertex combinations
-    when the polytope has no lattice points.  Every output is checked
-    for membership before it is returned.
+    Cycles through the three kinds (only vertex combinations when the
+    polytope has no lattice points); lattice points are drawn by rank from
+    `LatticePoints`, never listed.  Every output is checked for membership.
     """
     vertices = enumerate_vertices(spec)
     if not vertices:
         raise InputError("cannot sample from an empty polytope")
-    lattice = enumerate_lattice_points(spec)
+    lattice = LatticePoints(spec)
     rng = random.Random(seed)
     cs = constraint_system(spec)
     vertex_coords = [cs.coordinates(v) for v in vertices]
-    lattice_coords = [cs.coordinates(p) for p in lattice]
     out = []
     for idx in range(count):
         kind = idx % 3
         if kind == 0 and lattice:
-            coords = list(lattice_coords[rng.randrange(len(lattice))])
+            coords = cs.coordinates(lattice[rng.randrange(len(lattice))])
         elif kind == 1 and lattice:
             a = rng.randrange(len(lattice))
             b = rng.randrange(len(lattice))
             if len(lattice) > 1:
                 while b == a:
                     b = rng.randrange(len(lattice))
-            coords = [(u + v) / 2 for u, v in zip(lattice_coords[a], lattice_coords[b])]
+            coords = [(u + v) / 2 for u, v in zip(cs.coordinates(lattice[a]),
+                                                  cs.coordinates(lattice[b]))]
         else:
             picks = [rng.randrange(len(vertices)) for _ in range(1 + rng.randrange(3))]
             weights = [1 + rng.randrange(5) for _ in picks]

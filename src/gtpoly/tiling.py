@@ -15,7 +15,6 @@ j = 2..n-1, how many cells of each free tile lie in that row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .core import GTPattern, is_int, validate_pattern
 from .errors import InputError, ShapeError
@@ -38,14 +37,6 @@ class Tiling:
     tiles: tuple[tuple[tuple[int, int], ...], ...]
     free: tuple[int, ...]
 
-    @cached_property
-    def tile_of(self) -> dict[tuple[int, int], int]:
-        """Map from cell (i, j) to the index of its tile."""
-        return {cell: t for t, tile in enumerate(self.tiles) for cell in tile}
-
-    def free_tiles(self) -> list[tuple[tuple[int, int], ...]]:
-        return [self.tiles[t] for t in self.free]
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -67,6 +58,11 @@ class Tiling:
             raise ShapeError("tiling cells, free indices and n must be integers")
         n = obj.get("n") or max((j for tile in tiles for (_, j) in tile), default=0)
         return cls(n, tiles, free)
+
+
+def is_free_tile(tile, n: int) -> bool:
+    """Whether a tile of a size-n pattern holds neither (1,1) nor a top-row cell."""
+    return (1, 1) not in tile and all(j != n for (_, j) in tile)
 
 
 def compute_tiling(x: GTPattern) -> Tiling:
@@ -99,10 +95,7 @@ def compute_tiling(x: GTPattern) -> Tiling:
                     tile_of[(c, d)] = tid
                     stack.append((c, d))
         tiles.append(sorted(members, key=lambda ij: (ij[1], ij[0])))
-    free = tuple(
-        t for t, tile in enumerate(tiles)
-        if (1, 1) not in tile and all(j != n for (_, j) in tile)
-    )
+    free = tuple(t for t, tile in enumerate(tiles) if is_free_tile(tile, n))
     return Tiling(n, tuple(tuple(tile) for tile in tiles), free)
 
 
@@ -126,7 +119,7 @@ class TilingMatrix:
 def tiling_matrix_of(tiling: Tiling) -> TilingMatrix:
     """Tiling matrix of an already-computed tiling."""
     n = tiling.n
-    free = tiling.free_tiles()
+    free = [tiling.tiles[t] for t in tiling.free]
     entries = tuple(
         tuple(sum(1 for (_, j2) in tile if j2 == j) for tile in free)
         for j in range(2, n)

@@ -3,12 +3,18 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gtpoly
 from gtdata import BIJ, FAMILY2, FAMILY2_SPEC, WORKED, WORKED_MATRIX, WORKED_SPEC
+from gtpoly import GTPattern
 from gtpoly.cli import build_parser, main
 
 
@@ -216,6 +222,19 @@ class TestConversionSubcommands:
         assert code == 0
         assert "pretty" in out
 
+    @pytest.mark.parametrize("argv, key", [
+        (["points", spec_json(FAMILY2_SPEC)], "patterns"),
+        (["vertices", spec_json(FAMILY2_SPEC)], "vertices"),
+        (["sample", spec_json(FAMILY2_SPEC), "--count", "4", "--seed", "9"], "patterns"),
+    ])
+    def test_pretty_renders_every_pattern_in_a_list(self, capsys, argv, key):
+        code, out = run(capsys, "--pretty", *argv)
+        _, plain = run(capsys, *argv)
+        assert code == 0 and out[key]
+        for pattern, bare in zip(out[key], plain[key]):
+            assert pattern.pop("pretty") == GTPattern.from_json(bare).pretty()
+        assert out == plain
+
 
 class TestRepro:
     def test_repro_paper_passes(self, capsys):
@@ -348,3 +367,20 @@ class TestExitContract:
                 code = main([command, json.dumps(value)])
             assert code in (0, 2, 3)
             json.loads(out.getvalue())
+
+
+class TestClosedStdout:
+    def test_reader_closing_early_gets_an_exit_code_and_no_traceback(self):
+        # 1,136 points print about 390 kB, more than a pipe buffer holds, so
+        # writing fails after the reader has gone
+        spec = '{"lambda": [12, 9, 6, 3, 0], "mu": [6, 6, 6, 6, 6]}'
+        src = str(Path(gtpoly.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.Popen([sys.executable, "-m", "gtpoly.cli", "points", spec],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert err == b""

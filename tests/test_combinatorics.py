@@ -17,6 +17,7 @@ from gtdata import (
 from gtpoly import (
     GTPattern,
     InputError,
+    LatticePoints,
     PolytopeSpec,
     ShapeError,
     Tableau,
@@ -26,6 +27,7 @@ from gtpoly import (
     enumerate_lattice_points,
     enumerate_tableaux,
     kostka,
+    membership,
     pattern_to_tableau,
     polytope_dimension,
     spec_of,
@@ -137,6 +139,23 @@ class TestEnumerateLatticePoints:
     def test_bijection_polytope_count_and_contains_example(self):
         points = enumerate_lattice_points(BIJ_SPEC)
         assert BIJ in points
+
+
+class TestLatticePoints:
+    @SETTINGS
+    @given(small_specs())
+    def test_sorted_members_counted_by_tableaux(self, spec):
+        lp = LatticePoints(spec)
+        points = list(lp)
+        assert all(a.rows < b.rows for a, b in zip(points, points[1:]))
+        assert all(membership(p, spec) for p in points)
+        assert len(lp) == len(points) == len(enumerate_tableaux(spec.lam, spec.mu))
+        with pytest.raises(IndexError):
+            lp[len(lp)]
+
+    def test_negative_rank_rejected(self):
+        with pytest.raises(IndexError):
+            LatticePoints(FAMILY2_SPEC)[-1]
 
 
 class TestCountLatticePoints:

@@ -155,6 +155,15 @@ class TestSamplePoints:
         with pytest.raises(InputError):
             sample_points(PolytopeSpec((1, 1), (2, 0)), 3, seed=0)
 
+    def test_many_lattice_points_are_not_built(self):
+        # 748,626 lattice points: drawing six samples must rank into them,
+        # not list them
+        spec = PolytopeSpec((24, 18, 12, 6, 0, 0), (12, 12, 12, 12, 6, 6))
+        points = sample_points(spec, 6, seed=3)
+        assert all(membership(p, spec) for p in points)
+        assert points[0].is_integral() and points[3].is_integral()
+        assert all(p.denominator_lcm() <= 2 for p in points[1::3])
+
     def test_midpoints_have_positive_face_dimension(self):
         # midpoint of two distinct lattice points is never a vertex
         points = enumerate_lattice_points(PolytopeSpec((2, 1, 0), (1, 1, 1)))

@@ -28,6 +28,11 @@ def constant_pattern(n, value=3):
     return GTPattern.from_bottom_rows([[value] * j for j in range(1, n + 1)])
 
 
+def tile_of(til):
+    """Map from cell (i, j) to the index of its tile."""
+    return {cell: t for t, tile in enumerate(til.tiles) for cell in tile}
+
+
 class TestComputeTiling:
     def test_worked_example_free_tiles(self):
         til = compute_tiling(WORKED)
@@ -86,8 +91,9 @@ class TestConnectivityIsLiteral:
         # touch the forced cell (1,2) below, not because of a row step
         x = GTPattern.from_bottom_rows([[1], [2, 1], [2, 2, 0]])
         til = compute_tiling(x)
-        assert til.tile_of[(1, 3)] == til.tile_of[(2, 3)] == til.tile_of[(1, 2)]
-        tile = set(til.tiles[til.tile_of[(1, 3)]])
+        owner = tile_of(til)
+        assert owner[(1, 3)] == owner[(2, 3)] == owner[(1, 2)]
+        tile = set(til.tiles[owner[(1, 3)]])
         assert tile == {(1, 2), (1, 3), (2, 3)}
 
     def test_equal_values_without_a_path_stay_separate(self):
@@ -95,12 +101,14 @@ class TestConnectivityIsLiteral:
         # of allowed steps through equal entries joins them
         til = compute_tiling(FAMILY2)
         assert FAMILY2.entry(2, 2) == FAMILY2.entry(3, 4) == Fraction(1, 2)
-        assert til.tile_of[(2, 2)] != til.tile_of[(3, 4)]
+        owner = tile_of(til)
+        assert owner[(2, 2)] != owner[(3, 4)]
 
     def test_diagonal_chain_in_worked_example(self):
         # (2,2), (3,3), (4,4) all hold 1/2 and chain through up-right steps
         til = compute_tiling(WORKED)
-        assert til.tile_of[(2, 2)] == til.tile_of[(3, 3)] == til.tile_of[(4, 4)]
+        owner = tile_of(til)
+        assert owner[(2, 2)] == owner[(3, 3)] == owner[(4, 4)]
 
 
 class TestTilingInvariants:
@@ -115,11 +123,12 @@ class TestTilingInvariants:
             values = {x.entry(i, j) for (i, j) in tile}
             assert len(values) == 1
         # maximality: adjacent equal cells always share a tile
+        owner = tile_of(til)
         for (i, j) in x.cells():
             for di, dj in ((1, 1), (0, 1), (-1, -1), (0, -1)):
                 c, d = i + di, j + dj
                 if 1 <= c <= d <= n and x.entry(c, d) == x.entry(i, j):
-                    assert til.tile_of[(c, d)] == til.tile_of[(i, j)]
+                    assert owner[(c, d)] == owner[(i, j)]
         # free tiles avoid the bottom cell and the top row
         for t, tile in enumerate(til.tiles):
             is_free = (1, 1) not in tile and all(j != n for (_, j) in tile)
@@ -162,7 +171,7 @@ class TestTilingMatrix:
         til = compute_tiling(x)
         m = tiling_matrix_of(til)
         n = x.n
-        free = til.free_tiles()
+        free = [til.tiles[t] for t in til.free]
         # column sums equal tile sizes (free tiles never touch rows 1 or n)
         for k, tile in enumerate(free):
             assert sum(row[k] for row in m.entries) == len(tile)
