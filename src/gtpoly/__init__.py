@@ -12,7 +12,6 @@ from .combinatorics import (
     ehrhart_polynomial,
     ehrhart_values,
     enumerate_lattice_points,
-    enumerate_tableaux,
     kostka,
     pattern_to_tableau,
     tableau_to_pattern,

@@ -168,47 +168,6 @@ def count_lattice_points(spec: PolytopeSpec) -> int:
     return len(LatticePoints(spec))
 
 
-def enumerate_tableaux(shape: Sequence[int], content: Sequence[int]) -> list[Tableau]:
-    """All semistandard tableaux of the given shape and content.
-
-    Direct cell-by-cell backtracking, independent of the lattice-point
-    enumeration; intended for cross-checking counts on small inputs.
-    """
-    shape = [int(v) for v in shape]
-    if any(v < 0 for v in shape) or any(a < b for a, b in zip(shape, shape[1:])):
-        return []
-    shape = [v for v in shape if v]
-    letters = len(content)
-    remaining = [int(c) for c in content]
-    if sum(remaining) != sum(shape) or any(c < 0 for c in remaining):
-        return []
-    grid = [[0] * width for width in shape]
-    out: list[Tableau] = []
-    cells = [(r, c) for r, width in enumerate(shape) for c in range(width)]
-
-    def fill(pos: int) -> None:
-        if pos == len(cells):
-            out.append(Tableau(tuple(tuple(row) for row in grid)))
-            return
-        r, c = cells[pos]
-        low = grid[r][c - 1] if c else 1
-        if r:
-            low = max(low, grid[r - 1][c] + 1)
-        for v in range(low, letters + 1):
-            if remaining[v - 1]:
-                remaining[v - 1] -= 1
-                grid[r][c] = v
-                fill(pos + 1)
-                grid[r][c] = 0
-                remaining[v - 1] += 1
-
-    if shape:
-        fill(0)
-    else:
-        out.append(Tableau(()))
-    return out
-
-
 def kostka(lam: Sequence[int], mu: Sequence[int]) -> int:
     """Number of lattice points of GT(lam, mu) = #SSYT(lam, mu)."""
     if len(lam) != len(mu):

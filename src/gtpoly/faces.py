@@ -1,5 +1,6 @@
 """Minimal-face dimensions, vertex certification, and non-integrality
-certificates, all through the tiling matrix.
+certificates, all through a member's tiling matrix, built in one step;
+self-checks go through one recorder, which raises on any failure.
 
 The dimension of the minimal face of GT(lambda, mu) containing a member
 x equals the kernel dimension of the tiling matrix of x.  A kernel
@@ -98,10 +99,25 @@ class ConstructionResult:
         }
 
 
+def _tiled_member(x: GTPattern, spec: PolytopeSpec) -> tuple[Tiling, TilingMatrix]:
+    """The tiling of the member x of GT(spec), and its tiling matrix."""
+    require_membership(x, spec)
+    til = compute_tiling(x)
+    return til, tiling_matrix_of(til)
+
+
+def _record_check(transcript: list[dict], name: str, ok: bool = True, error=VerificationError,
+                  message: str = "", subject: str = "", **detail) -> None:
+    """Append the passed check `name` with its detail keys, or raise `error`:
+    a returned transcript only ever holds passed checks."""
+    if not ok:
+        raise error(message or f"{subject} failed self-check '{name}': {detail}")
+    transcript.append({"check": name, "pass": True, **detail})
+
+
 def face_dimension(x: GTPattern, spec: PolytopeSpec) -> int:
     """Dimension of the minimal face of GT(spec) containing x."""
-    require_membership(x, spec)
-    a = tiling_matrix_of(compute_tiling(x))
+    a = _tiled_member(x, spec)[1]
     return a.cols - linalg.rank(a.entries, cols=a.cols)
 
 
@@ -139,12 +155,11 @@ def face_basis(x: GTPattern, spec: PolytopeSpec) -> FaceCertificate:
     x +/- scale*y inside the polytope.  The certificate is verified
     before it is returned.
     """
-    require_membership(x, spec)
-    til = compute_tiling(x)
-    a = tiling_matrix_of(til)
+    til, a = _tiled_member(x, spec)
     kernel = linalg.kernel_basis(a.entries, cols=a.cols)
     d = len(kernel)
-    transcript = [{"check": "kernel-dimension", "pass": True, "dimension": d}]
+    transcript: list[dict] = []
+    _record_check(transcript, "kernel-dimension", dimension=d)
 
     distinct = sorted(set(x.values()))
     gaps = [b - a_ for a_, b in zip(distinct, distinct[1:])]
@@ -156,13 +171,9 @@ def face_basis(x: GTPattern, spec: PolytopeSpec) -> FaceCertificate:
 
     directions = tuple(direction_from_kernel_vector(til, vec) for vec in kernel)
     for m, direction in enumerate(directions):
-        ok_plus = membership(_shifted(x, direction, scale), spec)
-        ok_minus = membership(_shifted(x, direction, -scale), spec)
-        transcript.append({"check": f"membership x +/- scale*y[{m + 1}]",
-                           "pass": ok_plus and ok_minus})
-        if not (ok_plus and ok_minus):
-            raise VerificationError(
-                f"face direction {m + 1} leaves the polytope at scale {scale}")
+        ok = all(membership(_shifted(x, direction, s), spec) for s in (scale, -scale))
+        _record_check(transcript, f"membership x +/- scale*y[{m + 1}]", ok,
+                      message=f"face direction {m + 1} leaves the polytope at scale {scale}")
     if kernel and linalg.rank(kernel) != d:
         raise VerificationError("kernel basis is not linearly independent")
     return FaceCertificate(d, tuple(kernel), directions, scale, tuple(transcript))
@@ -177,9 +188,7 @@ def nonintegrality_certificate(x: GTPattern, spec: PolytopeSpec
     A xi = 0 (mod q) and has a coordinate coprime to q.  Both facts are
     re-verified before the certificate is returned.
     """
-    require_membership(x, spec)
-    til = compute_tiling(x)
-    a = tiling_matrix_of(til)
+    til, a = _tiled_member(x, spec)
     if a.cols != linalg.rank(a.entries, cols=a.cols):
         raise InputError("pattern is not a vertex; no non-integrality certificate applies")
     return _vertex_certificate(x, til, a)
@@ -301,10 +310,10 @@ def construct_nonintegral_vertex(x_int: GTPattern, xi: Sequence[int], q: int,
     if not _annihilates_mod(a, xi, q):
         raise InputError("tiling matrix does not annihilate xi mod q")
 
-    transcript = [{"check": "preconditions", "pass": True}]
+    transcript: list[dict] = []
+    _record_check(transcript, "preconditions")
     if all(v == 0 for v in xi):
-        transcript.append({"check": "xi-zero", "pass": True,
-                           "detail": "xi = 0 rebuilds the integral carrier itself"})
+        _record_check(transcript, "xi-zero", detail="xi = 0 rebuilds the integral carrier itself")
         return ConstructionResult(x_int, spec_of(x_int), False, tuple(transcript))
     if all(gcd(v, q) != 1 for v in xi):
         raise InputError("no coordinate of xi is a unit mod q")
@@ -313,24 +322,17 @@ def construct_nonintegral_vertex(x_int: GTPattern, xi: Sequence[int], q: int,
     x = _shifted(x_int, direction, Fraction(1))
 
     bad = validate_pattern(x)
-    transcript.append({"check": "perturbed-pattern-valid", "pass": not bad})
-    if bad:
-        raise TilingDriftError(
-            f"adding xi/q breaks {len(bad)} pattern constraints; tiling not preserved")
+    _record_check(transcript, "perturbed-pattern-valid", not bad, TilingDriftError,
+                  f"adding xi/q breaks {len(bad)} pattern constraints; tiling not preserved")
     new_til = compute_tiling(x)
-    same = _same_partition(new_til, til)
-    transcript.append({"check": "tiling-preserved", "pass": same})
-    if not same:
-        raise TilingDriftError("adding xi/q merged or split tiles; construction rejected")
+    _record_check(transcript, "tiling-preserved", _same_partition(new_til, til),
+                  TilingDriftError, "adding xi/q merged or split tiles; construction rejected")
 
     out_spec = spec_of(x)
-    vertex = is_vertex(x, out_spec)
-    transcript.append({"check": "is-vertex", "pass": vertex})
-    if not vertex:
-        raise VerificationError("constructed pattern is not a vertex")
-    lcm_ok = x.denominator_lcm() == q
-    transcript.append({"check": "denominator-lcm", "pass": lcm_ok, "q": q})
-    if not lcm_ok:
-        raise VerificationError(
-            f"constructed pattern has denominator lcm {x.denominator_lcm()}, expected {q}")
+    # x has the tiling just checked, so it is a vertex iff that tiling's matrix has full rank
+    b = tiling_matrix_of(new_til)
+    _record_check(transcript, "is-vertex", linalg.rank(b.entries, cols=b.cols) == b.cols,
+                  message="constructed pattern is not a vertex")
+    _record_check(transcript, "denominator-lcm", x.denominator_lcm() == q, q=q,
+                  message=f"constructed pattern has denominator lcm {x.denominator_lcm()}, expected {q}")
     return ConstructionResult(x, out_spec, True, tuple(transcript))

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 from . import linalg
 from .core import GTPattern, PolytopeSpec, embed, embed_spec, membership
-from .errors import InputError, VerificationError
-from .faces import NonIntegralityCertificate, _vertex_certificate
+from .errors import InputError
+from .faces import NonIntegralityCertificate, _record_check, _vertex_certificate
 from .tiling import TilingMatrix, compute_tiling, tiling_matrix_of
 
 
@@ -91,13 +92,8 @@ def family_spec(k: int) -> PolytopeSpec:
 
 def _verify_instance(k: int, even: bool, spec: PolytopeSpec,
                      pattern: GTPattern) -> FamilyInstance:
-    transcript = []
-
-    def check(name: str, ok: bool, **detail):
-        transcript.append({"check": name, "pass": ok, **detail})
-        if not ok:
-            raise VerificationError(f"family instance k={k} failed self-check '{name}': {detail}")
-
+    transcript: list[dict] = []
+    check = partial(_record_check, transcript, subject=f"family instance k={k}")
     check("membership", membership(pattern, spec))
     til = compute_tiling(pattern)
     matrix = tiling_matrix_of(til)

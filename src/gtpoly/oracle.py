@@ -41,16 +41,14 @@ class ConstraintSystem:
     """The defining equalities and inequalities of GT(lambda, mu).
 
     Coordinates follow the cell scan order (bottom row to top, left to
-    right).  Inequality rows mean ``coeffs . x >= rhs``.
+    right), which is the order of ``GTPattern.values()``.  Inequality rows
+    mean ``coeffs . x >= rhs``.
     """
 
     n: int
     cells: tuple[tuple[int, int], ...]
     equalities: tuple[tuple[tuple[int, ...], int], ...]
     inequalities: tuple[tuple[tuple[int, ...], int], ...]
-
-    def coordinates(self, x: GTPattern) -> list[Fraction]:
-        return [x.entry(i, j) for (i, j) in self.cells]
 
     def pattern(self, coords: Sequence[Fraction]) -> GTPattern:
         rows = []
@@ -108,10 +106,9 @@ def face_dimension_oracle(x: GTPattern, spec: PolytopeSpec) -> int:
     """
     require_membership(x, spec)
     cs = constraint_system(spec)
-    coords = cs.coordinates(x)
     tight = [row for row, rhs in cs.equalities]
     for row, rhs in cs.inequalities:
-        if sum(c * v for c, v in zip(row, coords)) == rhs:
+        if sum(c * v for c, v in zip(row, x.values())) == rhs:
             tight.append(row)
     return len(cs.cells) - linalg.rank(tight, cols=len(cs.cells))
 
@@ -218,17 +215,15 @@ def enumerate_vertices(spec: PolytopeSpec) -> list[GTPattern]:
 
 
 def polytope_dimension(spec: PolytopeSpec) -> int:
-    """Dimension of GT(spec): affine rank of its vertex set (-1 if empty)."""
+    """Dimension of GT(spec) (-1 if empty): `face_dimension_oracle` at the
+    centroid of the vertices, a relative-interior point whose tight
+    inequalities are exactly the implicit equalities of GT(spec)."""
     vertices = enumerate_vertices(spec)
     if not vertices:
         return -1
-    cs = constraint_system(spec)
-    first = cs.coordinates(vertices[0])
-    diffs = [
-        [a - b for a, b in zip(cs.coordinates(v), first)]
-        for v in vertices[1:]
-    ]
-    return linalg.rank(diffs, cols=len(cs.cells))
+    centroid = GTPattern(tuple(tuple(sum(cell) / len(vertices) for cell in zip(*rows))
+                               for rows in zip(*(v.rows for v in vertices))))
+    return face_dimension_oracle(centroid, spec)
 
 
 def sample_points(spec: PolytopeSpec, count: int, seed: int) -> list[GTPattern]:
@@ -244,20 +239,19 @@ def sample_points(spec: PolytopeSpec, count: int, seed: int) -> list[GTPattern]:
     lattice = LatticePoints(spec)
     rng = random.Random(seed)
     cs = constraint_system(spec)
-    vertex_coords = [cs.coordinates(v) for v in vertices]
+    vertex_coords = [list(v.values()) for v in vertices]
     out = []
     for idx in range(count):
         kind = idx % 3
         if kind == 0 and lattice:
-            coords = cs.coordinates(lattice[rng.randrange(len(lattice))])
+            coords = list(lattice[rng.randrange(len(lattice))].values())
         elif kind == 1 and lattice:
             a = rng.randrange(len(lattice))
             b = rng.randrange(len(lattice))
             if len(lattice) > 1:
                 while b == a:
                     b = rng.randrange(len(lattice))
-            coords = [(u + v) / 2 for u, v in zip(cs.coordinates(lattice[a]),
-                                                  cs.coordinates(lattice[b]))]
+            coords = [(u + v) / 2 for u, v in zip(lattice[a].values(), lattice[b].values())]
         else:
             picks = [rng.randrange(len(vertices)) for _ in range(1 + rng.randrange(3))]
             weights = [1 + rng.randrange(5) for _ in picks]

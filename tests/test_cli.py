@@ -140,6 +140,15 @@ class TestFamilyAndBound:
         assert code == 0
         assert out == {"n": 5, "bound": 262144}
 
+    def test_bound_past_the_rendering_digit_limit_exit_2(self, capsys):
+        # 68 ** 2345 has 4,298 digits, 69 ** 2414 has 4,440: past Python's
+        # default limit of 4,300 digits for turning an int into text
+        code, out = run(capsys, "bound", "--n", "69")
+        assert code == 0
+        code, out = run(capsys, "bound", "--n", "70")
+        assert code == 2
+        assert f"{sys.get_int_max_str_digits()} digits" in out["error"]
+
 
 class TestCountingSubcommands:
     def test_kostka(self, capsys):
@@ -174,6 +183,12 @@ class TestCountingSubcommands:
         assert code == 0
         assert out["degree"] == 2
         assert out["all_match"] is True
+
+    def test_ehrhart_takes_one_mode(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["ehrhart", spec_json(FAMILY2_SPEC), "--mmax", "3", "--degree-hint", "4"])
+        assert err.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
 
     @pytest.mark.parametrize("hint", [[], ["--degree-hint", "1"]])
     def test_ehrhart_empty_polytope_exit_2(self, capsys, hint):
@@ -334,6 +349,26 @@ class TestParseErrors:
         code, out = self.construct(capsys, tiling=tiling)
         assert code == 2
         assert "error" in out
+
+    def test_malformed_json_names_the_decode_error(self, capsys):
+        code, out = run(capsys, "kostka", '{"lambda": [1, 0], "mu": [1, 0]')
+        assert code == 2
+        assert out["error"].startswith("malformed JSON: ")
+
+    def test_integer_past_the_parsing_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        digits = sys.get_int_max_str_digits() + 1
+        path.write_text('{"lambda": [' + "9" * digits + '], "mu": [1]}')
+        code, out = run(capsys, "kostka", str(path))
+        assert code == 2
+        assert "limit" in out["error"]
+
+    def test_nesting_past_the_recursion_limit(self, capsys, monkeypatch):
+        depth = 5 * sys.getrecursionlimit()
+        monkeypatch.setattr(sys, "stdin", io.StringIO("[" * depth + "]" * depth))
+        code, out = run(capsys, "kostka", "-")
+        assert code == 2
+        assert "recursion" in out["error"]
 
     @pytest.mark.parametrize("spec", ['{"lambda": 5, "mu": 5}', '{"lambda": [1, 0], "mu": null}'])
     def test_spec_field_not_a_list(self, capsys, spec):

@@ -10,6 +10,7 @@ from gtdata import (
     BIJ,
     BIJ_SPEC,
     FAMILY2_SPEC,
+    enumerate_tableaux,
     hook_length_count,
     integral_patterns,
     small_specs,
@@ -25,7 +26,6 @@ from gtpoly import (
     ehrhart_polynomial,
     ehrhart_values,
     enumerate_lattice_points,
-    enumerate_tableaux,
     kostka,
     membership,
     pattern_to_tableau,

@@ -85,6 +85,14 @@ class TestFaceBasis:
             assert is_proportional(direction, y1) or is_proportional(direction, y2)
         assert not is_proportional(cert.face_directions[0], cert.face_directions[1])
 
+    def test_worked_example_transcript(self):
+        cert = face_basis(WORKED, WORKED_SPEC)
+        assert cert.transcript == (
+            {"check": "kernel-dimension", "pass": True, "dimension": 2},
+            {"check": "membership x +/- scale*y[1]", "pass": True},
+            {"check": "membership x +/- scale*y[2]", "pass": True},
+        )
+
     def test_directions_have_zero_row_sums_and_fixed_cells(self):
         cert = face_basis(WORKED, WORKED_SPEC)
         for rows in cert.face_directions:
@@ -185,6 +193,28 @@ class TestConstructNonIntegralVertex:
         assert result.non_integral
         assert result.pattern == FAMILY2
         assert result.spec == FAMILY2_SPEC
+
+    def test_roundtrip_transcript(self):
+        til = compute_tiling(FAMILY2)
+        carrier = truncate_integral(FAMILY2, til)
+        result = construct_nonintegral_vertex(carrier, (1, 1, 1), 2, til)
+        assert result.transcript == (
+            {"check": "preconditions", "pass": True},
+            {"check": "perturbed-pattern-valid", "pass": True},
+            {"check": "tiling-preserved", "pass": True},
+            {"check": "is-vertex", "pass": True},
+            {"check": "denominator-lcm", "pass": True, "q": 2},
+        )
+
+    def test_zero_xi_transcript(self):
+        til = compute_tiling(FAMILY2)
+        carrier = truncate_integral(FAMILY2, til)
+        result = construct_nonintegral_vertex(carrier, (0, 0, 0), 2, til)
+        assert result.transcript == (
+            {"check": "preconditions", "pass": True},
+            {"check": "xi-zero", "pass": True,
+             "detail": "xi = 0 rebuilds the integral carrier itself"},
+        )
 
     def test_scaled_carrier_needs_no_explicit_tiling(self):
         # doubling the family pattern gives an integral pattern with the

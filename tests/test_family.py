@@ -24,6 +24,19 @@ class TestCounterexample:
         assert inst.certificate.q == 2
         assert inst.certificate.xi == (1, 1, 1)
 
+    @pytest.mark.parametrize("make, size, bound", [(counterexample, 3, 262144),
+                                                    (counterexample_even_n, 4, 6103515625)])
+    def test_k2_transcript(self, make, size, bound):
+        assert make(2).transcript == (
+            {"check": "membership", "pass": True},
+            {"check": "square-matrix", "pass": True, "rows": size, "cols": size},
+            {"check": "determinant", "pass": True, "det": "-2"},
+            {"check": "vertex", "pass": True},
+            {"check": "denominator-lcm", "pass": True, "lcm": 2},
+            {"check": "certificate", "pass": True},
+            {"check": "below-denominator-bound", "pass": True, "bound": bound},
+        )
+
     def test_k1_rejected(self):
         with pytest.raises(InputError):
             counterexample(1)

@@ -30,6 +30,16 @@ from gtpoly.oracle import _dd_extreme_rays
 POINT_SPEC = PolytopeSpec((3, 1, 0), (3, 1, 0))
 
 
+def affine_rank(points):
+    """Rank of the differences from the first point (-1 for no points): the
+    dimension of their affine hull, by a route that uses no constraints."""
+    if not points:
+        return -1
+    first = list(points[0].values())
+    return rank([[a - b for a, b in zip(p.values(), first)] for p in points[1:]],
+                cols=len(first))
+
+
 class TestConstraintSystem:
     def test_counts(self):
         cs = constraint_system(FAMILY2_SPEC)
@@ -41,7 +51,7 @@ class TestConstraintSystem:
 
     def test_member_satisfies_everything(self):
         cs = constraint_system(FAMILY2_SPEC)
-        coords = cs.coordinates(FAMILY2)
+        coords = list(FAMILY2.values())
         for row, rhs in cs.equalities:
             assert sum(c * v for c, v in zip(row, coords)) == rhs
         for row, rhs in cs.inequalities:
@@ -49,7 +59,7 @@ class TestConstraintSystem:
 
     def test_pattern_round_trip(self):
         cs = constraint_system(WORKED_SPEC)
-        assert cs.pattern(cs.coordinates(WORKED)) == WORKED
+        assert cs.pattern(list(WORKED.values())) == WORKED
 
 
 class TestFaceDimensionOracle:
@@ -131,6 +141,13 @@ class TestPolytopeDimension:
 
     def test_family_polytope(self):
         assert polytope_dimension(FAMILY2_SPEC) == 4
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(small_specs(max_n=4))
+    @example(PolytopeSpec((1, 1), (2, 0)))
+    @example(POINT_SPEC)
+    def test_equals_affine_rank_of_the_vertices(self, spec):
+        assert polytope_dimension(spec) == affine_rank(enumerate_vertices(spec))
 
 
 class TestSamplePoints:
