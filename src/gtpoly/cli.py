@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from math import comb
 from typing import Optional, Sequence
 
 from . import combinatorics, faces, family, oracle, tiling
@@ -132,8 +133,18 @@ def _run_family(args) -> tuple[dict, int]:
     return make(args.k).to_json(), 0
 
 
+def _digit_limit_error() -> str:
+    return (f"result holds an integer of more than {sys.get_int_max_str_digits()} digits, "
+            "the limit for rendering it as JSON")
+
+
 def _run_bound(args) -> tuple[dict, int]:
-    return {"n": args.n, "bound": family.denominator_bound(args.n)}, 0
+    # (n-1) ** e >= 2 ** (e * floor(log2(n-1))), so this refuses only bounds past the limit
+    limit, n = sys.get_int_max_str_digits(), args.n
+    e = comb(n + 1, 2) - n - 1 if n >= 2 else 0
+    if limit and e * ((n - 1).bit_length() - 1) >= (10 ** limit).bit_length():
+        raise InputError(_digit_limit_error())
+    return {"n": n, "bound": family.denominator_bound(n)}, 0
 
 
 def _run_kostka(args) -> tuple[dict, int]:
@@ -315,9 +326,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         text = json.dumps(payload, indent=2)
     except ValueError:  # an integer past the int-to-str digit limit
-        limit = sys.get_int_max_str_digits()
-        text = json.dumps({"error": f"result holds an integer of more than {limit} digits, "
-                                    "the limit for rendering it as JSON"}, indent=2)
+        text = json.dumps({"error": _digit_limit_error()}, indent=2)
         status = 2
     try:
         print(text, flush=True)

@@ -2,17 +2,19 @@
 certificates, all through a member's tiling matrix, built in one step;
 self-checks go through one recorder, which raises on any failure.
 
-The dimension of the minimal face of GT(lambda, mu) containing a member
-x equals the kernel dimension of the tiling matrix of x.  A kernel
-basis lifts to explicit face directions: spreading the k-th coordinate
-of a kernel vector over the k-th free tile gives an array y with zero
-row sums that vanishes on the fixed cells, and x +/- c*y stays in the
-polytope for a small enough scale c.
+A member x is constant on each tile, so it is its fixed cells plus its
+free-tile values v, which one helper reads and one writes.  The minimal
+face of GT(lambda, mu) containing x has the kernel dimension of the
+tiling matrix A of x, and a face direction moves v along a kernel
+vector y: x +/- c*y stays in the polytope for a small enough scale c.
 
-Non-integral vertices are certified in both directions: a vertex with
-entry denominators of lcm q yields an integer vector xi with
-A xi = 0 (mod q) and a coordinate coprime to q, and conversely such a
-vector plus an integral carrier pattern rebuilds a non-integral vertex.
+Non-integral vertices are certified in both directions: at a vertex with
+entry denominators of lcm q, xi = q*v mod q satisfies A xi = 0 (mod q)
+and has a coordinate coprime to q; conversely, adding xi/q to the
+free-tile values of an integral carrier rebuilds a non-integral vertex,
+and `truncate_integral` floors them again.  Both take a supplied tiling
+only if it has the pattern's size, partitions its cells, marks free
+tiles as `is_free_tile` does and holds one value per tile.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import linalg
 from .core import (
@@ -126,24 +128,18 @@ def is_vertex(x: GTPattern, spec: PolytopeSpec) -> bool:
     return face_dimension(x, spec) == 0
 
 
-def direction_from_kernel_vector(tiling: Tiling, eps: Sequence[Fraction]) -> DirectionRows:
-    """Pattern-layout array with eps[k] on free tile k and 0 elsewhere."""
-    values = {}
-    for k, tile_index in enumerate(tiling.free):
-        for cell in tiling.tiles[tile_index]:
-            values[cell] = Fraction(eps[k])
-    return tuple(
-        tuple(values.get((i, j), Fraction(0)) for i in range(1, j + 1))
-        for j in range(1, tiling.n + 1)
-    )
+def _free_values(x: GTPattern, til: Tiling) -> tuple[Fraction, ...]:
+    """x's value on each free tile of til, read at the tile's first cell."""
+    return tuple(x.entry(*til.tiles[t][0]) for t in til.free)
 
 
-def _shifted(x: GTPattern, direction: DirectionRows, factor: Fraction) -> GTPattern:
-    rows = tuple(
-        tuple(v + factor * d for v, d in zip(row, drow))
-        for row, drow in zip(x.rows, direction)
-    )
-    return GTPattern(rows)
+def _with_free_values(x: GTPattern, til: Tiling, values: Iterable[Fraction]) -> GTPattern:
+    """x with every cell of free tile k of til set to values[k]."""
+    rows = [list(row) for row in x.rows]
+    for t, v in zip(til.free, values):
+        for i, j in til.tiles[t]:
+            rows[j - 1][i - 1] = v
+    return GTPattern(tuple(map(tuple, rows)))
 
 
 def face_basis(x: GTPattern, spec: PolytopeSpec) -> FaceCertificate:
@@ -169,9 +165,13 @@ def face_basis(x: GTPattern, spec: PolytopeSpec) -> FaceCertificate:
         max_eps = max(abs(e) for vec in kernel for e in vec)
         scale = min(gaps) / 3 / max_eps
 
-    directions = tuple(direction_from_kernel_vector(til, vec) for vec in kernel)
-    for m, direction in enumerate(directions):
-        ok = all(membership(_shifted(x, direction, s), spec) for s in (scale, -scale))
+    zero = GTPattern(tuple((Fraction(0),) * j for j in range(1, x.n + 1)))
+    directions = tuple(_with_free_values(zero, til, map(Fraction, vec)).rows for vec in kernel)
+    values = _free_values(x, til)
+    for m, vec in enumerate(kernel):
+        moved = (_with_free_values(x, til, [v + s * e for v, e in zip(values, vec)])
+                 for s in (scale, -scale))
+        ok = all(membership(p, spec) for p in moved)
         _record_check(transcript, f"membership x +/- scale*y[{m + 1}]", ok,
                       message=f"face direction {m + 1} leaves the polytope at scale {scale}")
     if kernel and linalg.rank(kernel) != d:
@@ -205,12 +205,9 @@ def _vertex_certificate(x: GTPattern, til: Tiling, a: TilingMatrix
     q = x.denominator_lcm()
     if q == 1:
         return None
-    xi = []
-    for tile_index in til.free:
-        i, j = til.tiles[tile_index][0]
-        scaled = x.entry(i, j) * q
-        assert scaled.denominator == 1
-        xi.append(int(scaled) % q)
+    scaled = [v * q for v in _free_values(x, til)]
+    assert all(v.denominator == 1 for v in scaled)
+    xi = [int(v) % q for v in scaled]
     if not _annihilates_mod(a, xi, q):
         raise VerificationError("tiling matrix does not annihilate xi mod q")
     unit_index = next((k for k, v in enumerate(xi) if gcd(v, q) == 1), None)
@@ -225,39 +222,26 @@ def _vertex_certificate(x: GTPattern, til: Tiling, a: TilingMatrix
 def truncate_integral(x: GTPattern, tiling: Optional[Tiling] = None) -> GTPattern:
     """Drop the fractional parts on the free tiles of x.
 
-    Cells outside free tiles must already be integral (for polytope
-    members they always are: such cells carry top-row or bottom values).
+    A supplied tiling is checked as `construct_nonintegral_vertex` checks
+    its tiling.  Cells outside free tiles must already be integral
+    (for polytope members they always are: such cells carry top-row or
+    bottom values).
     """
     til = tiling if tiling is not None else compute_tiling(x)
-    free_cells = {cell for t in til.free for cell in til.tiles[t]}
-    rows = []
-    for j in range(1, x.n + 1):
-        row = []
-        for i in range(1, j + 1):
-            v = x.entry(i, j)
-            if (i, j) in free_cells:
-                row.append(Fraction(v.numerator // v.denominator))
-            elif v.denominator != 1:
-                raise InputError(f"cell ({i},{j}) is outside every free tile but non-integral")
-            else:
-                row.append(v)
-        rows.append(tuple(row))
-    return GTPattern(tuple(rows))
+    _check_tiling_structure(til, x)
+    out = _with_free_values(x, til, [v - v % 1 for v in _free_values(x, til)])
+    bad = next((cell for cell in out.cells() if out.entry(*cell).denominator != 1), None)
+    if bad:
+        raise InputError(f"cell ({bad[0]},{bad[1]}) is outside every free tile but non-integral")
+    return out
 
 
-def _same_partition(a: Tiling, b: Tiling) -> bool:
-    if a.n != b.n:
-        return False
-    if {frozenset(t) for t in a.tiles} != {frozenset(t) for t in b.tiles}:
-        return False
-    return ({frozenset(a.tiles[k]) for k in a.free}
-            == {frozenset(b.tiles[k]) for k in b.free})
-
-
-def _check_tiling_structure(til: Tiling, x_int: GTPattern) -> None:
+def _check_tiling_structure(til: Tiling, x: GTPattern) -> None:
+    if til.n != x.n:
+        raise InputError(f"tiling has n={til.n} but pattern has n={x.n}")
     if len(set(til.free)) != len(til.free) or not set(til.free) <= set(range(len(til.tiles))):
         raise InputError("supplied tiling's free entries must be distinct tile indices")
-    cells = set(x_int.cells())
+    cells = set(x.cells())
     seen: set[tuple[int, int]] = set()
     for tile in til.tiles:
         for cell in tile:
@@ -269,7 +253,7 @@ def _check_tiling_structure(til: Tiling, x_int: GTPattern) -> None:
     for t, tile in enumerate(til.tiles):
         if is_free_tile(tile, til.n) != (t in til.free):
             raise InputError(f"tile {t} has the wrong free/fixed status")
-        values = {x_int.entry(i, j) for (i, j) in tile}
+        values = {x.entry(i, j) for (i, j) in tile}
         if len(values) != 1:
             raise InputError(f"carrier pattern is not constant on tile {t}")
 
@@ -295,8 +279,6 @@ def construct_nonintegral_vertex(x_int: GTPattern, xi: Sequence[int], q: int,
     if q < 2:
         raise InputError(f"modulus must be at least 2, got {q}")
     til = tiling if tiling is not None else compute_tiling(x_int)
-    if til.n != x_int.n:
-        raise InputError(f"tiling has n={til.n} but pattern has n={x_int.n}")
     _check_tiling_structure(til, x_int)
 
     if len(xi) != len(til.free):
@@ -318,14 +300,16 @@ def construct_nonintegral_vertex(x_int: GTPattern, xi: Sequence[int], q: int,
     if all(gcd(v, q) != 1 for v in xi):
         raise InputError("no coordinate of xi is a unit mod q")
 
-    direction = direction_from_kernel_vector(til, [Fraction(v, q) for v in xi])
-    x = _shifted(x_int, direction, Fraction(1))
+    values = _free_values(x_int, til)
+    x = _with_free_values(x_int, til, [v + Fraction(e, q) for v, e in zip(values, xi)])
 
     bad = validate_pattern(x)
     _record_check(transcript, "perturbed-pattern-valid", not bad, TilingDriftError,
                   f"adding xi/q breaks {len(bad)} pattern constraints; tiling not preserved")
     new_til = compute_tiling(x)
-    _record_check(transcript, "tiling-preserved", _same_partition(new_til, til),
+    # both cover x's cells; free marks follow is_free_tile (computed here, checked for til)
+    _record_check(transcript, "tiling-preserved",
+                  set(map(frozenset, new_til.tiles)) == set(map(frozenset, til.tiles)),
                   TilingDriftError, "adding xi/q merged or split tiles; construction rejected")
 
     out_spec = spec_of(x)

@@ -419,3 +419,103 @@ class TestClosedStdout:
         proc.stderr.close()
         assert proc.wait(timeout=120) == 0
         assert err == b""
+
+
+class TestBoundGuard:
+    def test_refused_before_computing(self, capsys, monkeypatch):
+        # n = 3,000 took 31 s to compute a bound that could never be rendered
+        _, past_limit = run(capsys, "bound", "--n", "70")
+
+        def must_not_run(n):
+            raise AssertionError(f"denominator_bound({n}) computed past the digit limit")
+
+        monkeypatch.setattr(gtpoly.cli.family, "denominator_bound", must_not_run)
+        for n in ("70", "3000"):
+            code, out = run(capsys, "bound", "--n", n)
+            assert code == 2
+            assert out == past_limit == {
+                "error": f"result holds an integer of more than {sys.get_int_max_str_digits()} "
+                         "digits, the limit for rendering it as JSON"}
+
+    @pytest.mark.parametrize("limit", [640, 1000])
+    def test_refuses_only_bounds_past_the_limit(self, capsys, limit):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            codes = {n: run(capsys, "bound", "--n", str(n))[0] for n in range(2, 45)}
+        finally:
+            sys.set_int_max_str_digits(old)
+        for n, code in codes.items():
+            assert (code == 0) == (gtpoly.denominator_bound(n) < 10 ** limit)
+
+    def test_no_digit_limit_lifts_the_guard(self, capsys):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            code, out = run(capsys, "bound", "--n", "70")
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert code == 0
+        assert out == {"n": 70, "bound": 69 ** 2414}
+
+    @pytest.mark.parametrize("n", ["1", "0", "-5"])
+    def test_small_n_keeps_its_error(self, capsys, n):
+        code, out = run(capsys, "bound", "--n", n)
+        assert code == 2
+        assert out == {"error": f"denominator_bound requires n >= 2, got {n}"}
+
+
+class TestInputChecks:
+    def test_wrong_top_row_is_reported(self, capsys):
+        wrong = json.dumps({"lambda": [6, 5, 3, 2, 1], "mu": [4, 1, 4, 5, 2]})
+        code, out = run(capsys, "face-dim", pattern_json(WORKED), "--spec", wrong)
+        assert code == 2
+        assert out["report"] == [{"kind": "top-row", "cell": [5, 5], "constraint": "x[5,5] = 1"}]
+
+    @pytest.mark.parametrize("argv, error", [
+        (["--mmax", "0"], "m_max must be at least 1, got 0"),
+        (["--degree-hint", "-1"], "degree hint must be nonnegative, got -1"),
+    ])
+    def test_ehrhart_bad_mode_values(self, capsys, argv, error):
+        code, out = run(capsys, "ehrhart", spec_json(FAMILY2_SPEC), *argv)
+        assert (code, out) == (2, {"error": error})
+
+    def test_to_tableau_needs_nested_rows(self, capsys):
+        code, out = run(capsys, "to-tableau", '{"rows": [[1, 0], [2]]}')
+        assert (code, out) == (2, {"error": "row 2 does not contain row 1: pattern invalid"})
+
+    def test_tableau_with_an_empty_row(self, capsys):
+        code, out = run(capsys, "from-tableau", "[[1], []]", "--n", "2")
+        assert (code, out) == (2, {"error": "tableau row 2 is empty; drop empty rows"})
+
+    @pytest.mark.parametrize("pattern", ['{"n": 2}', '{"rows": [1, 2]}'])
+    def test_pattern_json_without_rows_of_lists(self, capsys, pattern):
+        code, out = run(capsys, "embed", pattern)
+        assert code == 2
+        assert "rows" in out["error"]
+
+    def test_tiling_json_without_free(self, capsys):
+        payload = {"pattern": FAMILY2.to_json(), "xi": [1, 1, 1], "q": 2, "tiling": {"tiles": []}}
+        code, out = run(capsys, "construct", json.dumps(payload))
+        assert (code, out) == (2, {"error": "tiling JSON must be an object with 'tiles' and "
+                                            "'free' keys"})
+
+    def test_construct_without_q(self, capsys):
+        payload = {"pattern": FAMILY2.to_json(), "xi": [1, 1, 1]}
+        code, out = run(capsys, "construct", json.dumps(payload))
+        assert (code, out) == (2, {"error": "construct expects JSON with 'pattern', 'xi', "
+                                            "and 'q' keys"})
+
+    def test_construct_tiling_drift_exit_3(self, capsys):
+        payload = {
+            "pattern": {"rows": [[10, 10, 8, 8, 5, 0], [10, 10, 8, 6, 4], [10, 9, 8, 4],
+                                 [9, 8, 6], [8, 8], [8]]},
+            "tiling": {"tiles": [[[1, 1], [1, 2], [2, 2], [2, 3], [3, 4], [3, 5], [3, 6], [4, 6]],
+                                 [[1, 3], [2, 4]], [[3, 3], [4, 5]],
+                                 [[1, 4], [1, 5], [2, 5], [1, 6], [2, 6]],
+                                 [[4, 4], [5, 5]], [[5, 6]], [[6, 6]]],
+                       "free": [1, 2, 4]},
+            "xi": [1, 1, 1], "q": 2}
+        code, out = run(capsys, "construct", json.dumps(payload))
+        assert (code, out) == (3, {"error": "adding xi/q merged or split tiles; "
+                                            "construction rejected"})

@@ -266,3 +266,13 @@ class TestEhrhart:
         report = ehrhart_polynomial(spec)
         assert report.all_match
         assert report.degree == polytope_dimension(spec)
+
+
+class TestTableauRejections:
+    def test_empty_row(self):
+        with pytest.raises(ShapeError, match="row 2 is empty"):
+            Tableau(((1,), ()))
+
+    def test_content_entry_above_n(self):
+        with pytest.raises(InputError, match="tableau entry 3 exceeds n=2"):
+            Tableau(((1, 3),)).content(2)

@@ -207,3 +207,19 @@ def test_random_pattern_generator_yields_valid_patterns():
     rng = random.Random(5)
     for _ in range(50):
         assert is_valid(random_valid_pattern(rng, rng.randrange(1, 7)))
+
+
+class TestRejectedInputs:
+    def test_none_is_not_a_rational(self):
+        with pytest.raises(ShapeError, match="cannot parse rational from None"):
+            parse_rational(None)
+
+    @pytest.mark.parametrize("cell", [(0, 1), (2, 1), (1, 6), (6, 5)])
+    def test_entry_out_of_range(self, cell):
+        with pytest.raises(ShapeError, match="out of range for n=5"):
+            WORKED.entry(*cell)
+
+    def test_spec_of_needs_an_integral_top_row_and_weight(self):
+        x = GTPattern.from_bottom_rows([[0], [Fraction(1, 2), 0]])
+        with pytest.raises(InputError, match="non-integral top row or weight"):
+            spec_of(x)

@@ -323,3 +323,86 @@ class TestOracleAgreement:
         ]
         for x, spec in cases:
             assert face_dimension(x, spec) == face_dimension_oracle(x, spec)
+
+
+class TestSuppliedTilings:
+    """`construct_nonintegral_vertex` and `truncate_integral` share one check
+    of a supplied tiling; each rejection below exits 2 on the CLI."""
+
+    TIL = compute_tiling(FAMILY2)
+    CARRIER = truncate_integral(FAMILY2, TIL)
+
+    def tiling_with(self, tiles=None, free=None, n=None):
+        til = self.TIL
+        return Tiling(n or til.n, til.tiles if tiles is None else tiles,
+                      til.free if free is None else free)
+
+    def test_overlapping_tiles_rejected(self):
+        tiles = list(self.TIL.tiles)
+        tiles[2] = tiles[2] + (tiles[1][0],)
+        with pytest.raises(InputError, match="does not partition"):
+            construct_nonintegral_vertex(self.CARRIER, (1, 1, 1), 2,
+                                         self.tiling_with(tiles=tuple(tiles)))
+
+    def test_missing_cell_rejected(self):
+        tiles = list(self.TIL.tiles)
+        tiles[1] = tiles[1][:-1]
+        with pytest.raises(InputError, match="does not cover every pattern cell"):
+            construct_nonintegral_vertex(self.CARRIER, (1, 1, 1), 2,
+                                         self.tiling_with(tiles=tuple(tiles)))
+
+    def test_wrong_free_mark_rejected(self):
+        with pytest.raises(InputError, match="tile 5 has the wrong free/fixed status"):
+            construct_nonintegral_vertex(self.CARRIER, (1, 1), 2, self.tiling_with(free=(1, 2)))
+
+    def test_carrier_not_constant_on_a_tile_rejected(self):
+        # cell (2,3) drops from 1 to 0: still a valid pattern, but tile 1
+        # of the family tiling now holds two values
+        carrier = GTPattern.from_bottom_rows(
+            [[1], [1, 0], [1, 0, 0], [2, 1, 0, 0], [2, 2, 1, 0, 0]])
+        with pytest.raises(InputError, match="not constant on tile 1"):
+            construct_nonintegral_vertex(carrier, (1, 1, 1), 2, self.tiling_with())
+
+    def test_wrong_n_rejected(self):
+        with pytest.raises(InputError, match="tiling has n=6 but pattern has n=5"):
+            construct_nonintegral_vertex(self.CARRIER, (1, 1, 1), 2, self.tiling_with(n=6))
+
+    def test_modulus_one_rejected(self):
+        with pytest.raises(InputError, match="modulus must be at least 2, got 1"):
+            construct_nonintegral_vertex(self.CARRIER, (0, 0, 0), 1, self.tiling_with())
+
+    def test_invalid_carrier_rejected(self):
+        carrier = GTPattern.from_bottom_rows(
+            [[3], [1, 0], [1, 1, 0], [2, 1, 0, 0], [2, 2, 1, 0, 0]])
+        with pytest.raises(InputError, match="carrier pattern is invalid"):
+            construct_nonintegral_vertex(carrier, (1, 1, 1), 2, self.tiling_with())
+
+    def test_xi_without_a_unit_coordinate_rejected(self):
+        # 2 * (1, 1, 1) is annihilated mod 4, but no coordinate is a unit mod 4
+        with pytest.raises(InputError, match="no coordinate of xi is a unit mod q"):
+            construct_nonintegral_vertex(self.CARRIER, (2, 2, 2), 4, self.tiling_with())
+
+    def test_split_tile_is_tiling_drift(self):
+        # free tile [(3,3), (4,5)] is not connected, so adding 1/2 to it
+        # leaves two tiles where the supplied tiling has one
+        carrier = GTPattern.from_rows(
+            [[10, 10, 8, 8, 5, 0], [10, 10, 8, 6, 4], [10, 9, 8, 4], [9, 8, 6], [8, 8], [8]])
+        tiles = ([[1, 1], [1, 2], [2, 2], [2, 3], [3, 4], [3, 5], [3, 6], [4, 6]],
+                 [[1, 3], [2, 4]], [[3, 3], [4, 5]], [[1, 4], [1, 5], [2, 5], [1, 6], [2, 6]],
+                 [[4, 4], [5, 5]], [[5, 6]], [[6, 6]])
+        til = Tiling.from_json({"tiles": tiles, "free": [1, 2, 4]})
+        with pytest.raises(TilingDriftError, match="merged or split tiles"):
+            construct_nonintegral_vertex(carrier, (1, 1, 1), 2, til)
+
+    def test_truncate_rejects_an_out_of_range_free_index(self):
+        with pytest.raises(InputError, match="distinct tile indices"):
+            truncate_integral(FAMILY2, self.tiling_with(free=(1, 2, 99)))
+
+    def test_truncate_rejects_a_tiling_of_the_wrong_size(self):
+        with pytest.raises(InputError, match="tiling has n=6 but pattern has n=5"):
+            truncate_integral(FAMILY2, self.tiling_with(n=6))
+
+    def test_truncate_rejects_a_non_integral_fixed_cell(self):
+        x = GTPattern.from_bottom_rows([[Fraction(1, 2)], [1, 0], [1, 1, 0]])
+        with pytest.raises(InputError, match=r"cell \(1,1\) is outside every free tile"):
+            truncate_integral(x)

@@ -133,3 +133,13 @@ class TestPrimitiveInteger:
 
     def test_zero_vector(self):
         assert primitive_integer([Fraction(0), Fraction(0)]) == (0, 0)
+
+
+class TestMatrixShape:
+    def test_rows_of_unequal_length(self):
+        with pytest.raises(InputError, match="unequal lengths"):
+            rank([[1, 2], [3]])
+
+    def test_declared_columns_must_match(self):
+        with pytest.raises(InputError, match="has 2 columns, caller declared 3"):
+            kernel_basis([[1, 2]], cols=3)
