@@ -194,6 +194,18 @@ class PolytopeSpec:
         return {"lambda": list(self.lam), "mu": list(self.mu)}
 
 
+def interlacing_pairs(n: int) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
+    """Each interlacing constraint x[hi] >= x[lo] of a size-n pattern as
+    ``(hi, lo)``: for every cell (i, j) below the top row, in scan order,
+    first its upper-left pair ((i, j+1), (i, j)), then its upper-right pair
+    ((i, j), (i+1, j+1)).  Validation reports, the oracle's inequality rows
+    and the tiling's tight pairs all follow this order."""
+    for j in range(1, n):
+        for i in range(1, j + 1):
+            yield (i, j + 1), (i, j)
+            yield (i, j), (i + 1, j + 1)
+
+
 def validate_pattern(x: GTPattern) -> list[dict]:
     """Report every violated defining constraint of a GT-pattern.
 
@@ -202,25 +214,13 @@ def validate_pattern(x: GTPattern) -> list[dict]:
     never reach this function: they are rejected when the GTPattern is
     constructed.
     """
-    report = []
-    n = x.n
-    for (i, j) in x.cells():
-        if x.entry(i, j) < 0:
-            report.append({"kind": "nonnegativity", "cell": [i, j]})
-    for j in range(1, n):
-        for i in range(1, j + 1):
-            if not x.entry(i, j + 1) >= x.entry(i, j):
-                report.append({
-                    "kind": "interlacing",
-                    "cells": [[i, j], [i, j + 1]],
-                    "constraint": f"x[{i},{j + 1}] >= x[{i},{j}]",
-                })
-            if not x.entry(i, j) >= x.entry(i + 1, j + 1):
-                report.append({
-                    "kind": "interlacing",
-                    "cells": [[i, j], [i + 1, j + 1]],
-                    "constraint": f"x[{i},{j}] >= x[{i + 1},{j + 1}]",
-                })
+    rows = x.rows
+    report = [{"kind": "nonnegativity", "cell": [i, j]}
+              for j, row in enumerate(rows, start=1) for i, v in enumerate(row, start=1) if v < 0]
+    for (a, b), (c, d) in interlacing_pairs(x.n):
+        if not rows[b - 1][a - 1] >= rows[d - 1][c - 1]:
+            report.append({"kind": "interlacing", "cells": sorted([[a, b], [c, d]]),
+                           "constraint": f"x[{a},{b}] >= x[{c},{d}]"})
     return report
 
 

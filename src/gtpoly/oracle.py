@@ -25,7 +25,7 @@ from typing import Sequence
 
 from . import linalg
 from .combinatorics import LatticePoints
-from .core import GTPattern, PolytopeSpec, pattern_cells, require_membership
+from .core import GTPattern, PolytopeSpec, interlacing_pairs, pattern_cells, require_membership
 from .errors import InputError, ScaleGuardError, VerificationError
 
 DEFAULT_SCALE_GUARD = 6
@@ -33,7 +33,10 @@ DEFAULT_SCALE_GUARD = 6
 
 def scale_guard() -> int:
     value = os.environ.get("GTPOLY_SCALE_GUARD")
-    return int(value) if value else DEFAULT_SCALE_GUARD
+    try:
+        return int(value) if value else DEFAULT_SCALE_GUARD
+    except ValueError:
+        raise InputError(f"GTPOLY_SCALE_GUARD must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -82,17 +85,11 @@ def constraint_system(spec: PolytopeSpec) -> ConstraintSystem:
             row[index[(i, j - 1)]] = -1
         equalities.append((tuple(row), spec.mu[j - 1]))
 
-    inequalities = []
-    for cell in cells:
-        inequalities.append((tuple(unit(cell)), 0))
-    for j in range(1, n):
-        for i in range(1, j + 1):
-            row = unit((i, j + 1))
-            row[index[(i, j)]] -= 1
-            inequalities.append((tuple(row), 0))
-            row = unit((i, j))
-            row[index[(i + 1, j + 1)]] -= 1
-            inequalities.append((tuple(row), 0))
+    inequalities = [(tuple(unit(cell)), 0) for cell in cells]
+    for hi, lo in interlacing_pairs(n):
+        row = unit(hi)
+        row[index[lo]] = -1
+        inequalities.append((tuple(row), 0))
     return ConstraintSystem(n, cells, tuple(equalities), tuple(inequalities))
 
 
@@ -233,6 +230,8 @@ def sample_points(spec: PolytopeSpec, count: int, seed: int) -> list[GTPattern]:
     polytope has no lattice points); lattice points are drawn by rank from
     `LatticePoints`, never listed.  Every output is checked for membership.
     """
+    if count < 0:
+        raise InputError(f"count must be nonnegative, got {count}")
     vertices = enumerate_vertices(spec)
     if not vertices:
         raise InputError("cannot sample from an empty polytope")

@@ -1,11 +1,11 @@
 """Tilings of patterns and their tiling matrices.
 
-The tiling of a pattern partitions its cells into maximal groups of
-equal entries that are connected through the four diagonal/vertical
-steps (i+1,j+1), (i,j+1), (i-1,j-1), (i,j-1).  Steps within a row are
-deliberately *not* allowed: two equal entries side by side in one row
-belong to the same tile only when they are linked through neighboring
-rows.
+The tiling of a pattern partitions its cells into tiles: the connected
+components of the graph whose edges are the interlacing pairs
+(`core.interlacing_pairs`) that hold with equality.  Each cell is thus
+joined to equal upper-left, upper-right, lower-left and lower-right
+neighbors only.  Two equal entries side by side in one row belong to
+the same tile only when they are linked through neighboring rows.
 
 A tile is *free* when it contains neither the bottom cell (1,1) nor any
 top-row cell (i,n).  The tiling matrix counts, for each pattern row
@@ -16,11 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import GTPattern, is_int, validate_pattern
+from .core import GTPattern, interlacing_pairs, is_int, validate_pattern
 from .errors import InputError, ShapeError
-
-# allowed connectivity steps (delta_i, delta_j)
-STEPS = ((1, 1), (0, 1), (-1, -1), (0, -1))
 
 
 @dataclass(frozen=True)
@@ -68,35 +65,32 @@ def is_free_tile(tile, n: int) -> bool:
 def compute_tiling(x: GTPattern) -> Tiling:
     """Tiling of a valid pattern.
 
-    Flood-fills equal-valued cells along the four allowed steps.  Tile
-    indices follow the first-encounter scan order, which makes the free
-    tile order (and hence the tiling matrix) deterministic.
+    Joins the two cells of every tight interlacing pair with union-find,
+    then groups the cells by root in scan order, which lists the tiles
+    in first-encounter order and each tile's cells by (j, i); this makes
+    the free tile order (and hence the tiling matrix) deterministic.
     """
     report = validate_pattern(x)
     if report:
         raise InputError(f"cannot tile an invalid pattern ({len(report)} constraint violations)")
-    n = x.n
-    tile_of: dict[tuple[int, int], int] = {}
-    tiles: list[list[tuple[int, int]]] = []
-    for cell in x.cells():
-        if cell in tile_of:
-            continue
-        tid = len(tiles)
-        tile_of[cell] = tid
-        stack = [cell]
-        members = []
-        while stack:
-            (a, b) = stack.pop()
-            members.append((a, b))
-            value = x.entry(a, b)
-            for di, dj in STEPS:
-                c, d = a + di, b + dj
-                if 1 <= c <= d <= n and (c, d) not in tile_of and x.entry(c, d) == value:
-                    tile_of[(c, d)] = tid
-                    stack.append((c, d))
-        tiles.append(sorted(members, key=lambda ij: (ij[1], ij[0])))
-    free = tuple(t for t, tile in enumerate(tiles) if is_free_tile(tile, n))
-    return Tiling(n, tuple(tuple(tile) for tile in tiles), free)
+    parent = {cell: cell for cell in x.cells()}
+
+    def root(cell):
+        while parent[cell] != cell:
+            parent[cell] = parent[parent[cell]]
+            cell = parent[cell]
+        return cell
+
+    rows = x.rows
+    for (a, b), (c, d) in interlacing_pairs(x.n):
+        if rows[b - 1][a - 1] == rows[d - 1][c - 1]:
+            parent[root((a, b))] = root((c, d))
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for cell in parent:
+        groups.setdefault(root(cell), []).append(cell)
+    tiles = tuple(tuple(tile) for tile in groups.values())
+    free = tuple(t for t, tile in enumerate(tiles) if is_free_tile(tile, x.n))
+    return Tiling(x.n, tiles, free)
 
 
 @dataclass(frozen=True)

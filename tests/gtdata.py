@@ -157,3 +157,28 @@ def integral_patterns(draw, min_n=1, max_n=5, top=6):
         above = rows[-1]
         rows.append([draw(st.integers(above[i + 1], above[i])) for i in range(len(above) - 1)])
     return GTPattern.from_rows(rows)
+
+
+@st.composite
+def triangles(draw, max_n=6, noisy=None):
+    """Triangular arrays of small rationals (denominators up to 3), drawn
+    top-down.  A tidy array has a sorted nonnegative top row and each lower
+    cell in its interlacing interval, often at an end of it so that equal
+    neighbors form tiles: it is a valid pattern.  A noisy array may have an
+    unsorted top row and any cell replaced by an arbitrary value, possibly
+    negative, so it is usually invalid.  ``noisy=None`` draws either kind."""
+    if noisy is None:
+        noisy = draw(st.booleans())
+    n = draw(st.integers(1, max_n))
+    top = draw(st.lists(st.fractions(0, 5, max_denominator=3), min_size=n, max_size=n))
+    rows = [top if noisy and draw(st.booleans()) else sorted(top, reverse=True)]
+    while len(rows[-1]) > 1:
+        row = []
+        for left, right in zip(rows[-1], rows[-1][1:]):
+            lo, hi = min(left, right), max(left, right)
+            options = [st.sampled_from([lo, hi]), st.fractions(lo, hi, max_denominator=3)]
+            if noisy:
+                options.append(st.fractions(-1, 6, max_denominator=3))
+            row.append(draw(st.one_of(options)))
+        rows.append(row)
+    return GTPattern.from_rows(rows)

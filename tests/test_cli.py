@@ -465,6 +465,30 @@ class TestBoundGuard:
         assert out == {"error": f"denominator_bound requires n >= 2, got {n}"}
 
 
+class TestSampleAndScaleGuardInputs:
+    SPEC = '{"lambda": [2, 1, 0], "mu": [1, 1, 1]}'
+    GUARD_ERROR = {"error": "GTPOLY_SCALE_GUARD must be an integer, got 'abc'"}
+
+    @pytest.mark.parametrize("argv", [["vertices"], ["sample", "--count", "2", "--seed", "1"]])
+    def test_malformed_scale_guard_exits_2(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("GTPOLY_SCALE_GUARD", "abc")
+        assert run(capsys, argv[0], self.SPEC, *argv[1:]) == (2, self.GUARD_ERROR)
+
+    def test_repro_records_a_malformed_scale_guard(self, capsys, monkeypatch):
+        monkeypatch.setenv("GTPOLY_SCALE_GUARD", "abc")
+        code, out = run(capsys, "repro-paper")
+        assert (code, out["all_pass"]) == (3, False)
+        failed = [r for r in out["results"] if not r["pass"]]
+        assert failed == [{"name": "family-k2", "pass": False,
+                           "detail": self.GUARD_ERROR["error"]}]
+
+    def test_negative_count_exits_2(self, capsys):
+        code, out = run(capsys, "sample", self.SPEC, "--count", "-1", "--seed", "1")
+        assert (code, out) == (2, {"error": "count must be nonnegative, got -1"})
+        assert run(capsys, "sample", self.SPEC, "--count", "0", "--seed", "1") == (
+            0, {"patterns": []})
+
+
 class TestInputChecks:
     def test_wrong_top_row_is_reported(self, capsys):
         wrong = json.dumps({"lambda": [6, 5, 3, 2, 1], "mu": [4, 1, 4, 5, 2]})

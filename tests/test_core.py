@@ -1,9 +1,11 @@
 """Pattern and spec basics: validation, sums, weights, membership, embedding."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from gtdata import (
     BIJ,
@@ -13,6 +15,7 @@ from gtdata import (
     WORKED,
     WORKED_SPEC,
     random_valid_pattern,
+    triangles,
 )
 from gtpoly import (
     GTPattern,
@@ -106,6 +109,32 @@ class TestValidatePattern:
         bad = GTPattern.from_bottom_rows([[-1], [0, 1]])
         kinds = [v["kind"] for v in validate_pattern(bad)]
         assert "nonnegativity" in kinds and "interlacing" in kinds
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(triangles())
+    def test_reports_exactly_the_failed_constraints(self, x):
+        # row by row: every entry is nonnegative, and each entry of a lower
+        # row lies between its upper-left and upper-right neighbors
+        sides = [(above[i], below[i], above[i + 1])
+                 for below, above in zip(x.rows, x.rows[1:]) for i in range(len(below))]
+        failures = (sum(v < 0 for v in x.values())
+                    + sum(not left >= v for left, v, _ in sides)
+                    + sum(not v >= right for _, v, right in sides))
+        report = validate_pattern(x)
+        assert (report == []) == (failures == 0)
+        assert len(report) == failures
+        for record in report:
+            if record["kind"] == "nonnegativity":
+                assert x.entry(*record["cell"]) < 0
+                continue
+            a, b, c, d = map(int, re.fullmatch(
+                r"x\[(\d+),(\d+)\] >= x\[(\d+),(\d+)\]", record["constraint"]).groups())
+            # x[a,b] >= x[c,d] is an interlacing side: (a,b) sits upper-left
+            # of (c,d), or (c,d) sits upper-right of (a,b); and it fails
+            assert (c, d) in ((a, b - 1), (a + 1, b + 1))
+            assert sorted(map(tuple, record["cells"])) == sorted([(a, b), (c, d)])
+            assert x.entry(a, b) < x.entry(c, d)
+        assert all(report.count(record) == 1 for record in report)
 
 
 class TestRowSumsAndWeight:

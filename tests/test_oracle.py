@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gtdata import FAMILY2, FAMILY2_SPEC, WORKED, WORKED_SPEC, small_specs
+from gtdata import FAMILY2, FAMILY2_SPEC, WORKED, WORKED_SPEC, small_specs, triangles
 from gtpoly import (
     GTPattern,
     InputError,
@@ -19,10 +19,13 @@ from gtpoly import (
     enumerate_vertices,
     face_dimension,
     face_dimension_oracle,
+    is_valid,
     is_vertex,
     membership,
     polytope_dimension,
     sample_points,
+    spec_of,
+    validate_pattern,
 )
 from gtpoly.linalg import kernel_basis, primitive_integer, rank
 from gtpoly.oracle import _dd_extreme_rays
@@ -56,6 +59,20 @@ class TestConstraintSystem:
             assert sum(c * v for c, v in zip(row, coords)) == rhs
         for row, rhs in cs.inequalities:
             assert sum(c * v for c, v in zip(row, coords)) >= rhs
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(triangles())
+    def test_inequalities_hold_exactly_on_valid_patterns(self, x):
+        try:
+            spec = spec_of(x)
+        except InputError:
+            # no integral spec; the inequality rows do not depend on the spec
+            spec = PolytopeSpec((0,) * x.n, (0,) * x.n)
+        coords = list(x.values())
+        holds = [sum(c * v for c, v in zip(row, coords)) >= rhs
+                 for row, rhs in constraint_system(spec).inequalities]
+        assert all(holds) == is_valid(x)
+        assert holds.count(False) == len(validate_pattern(x))
 
     def test_pattern_round_trip(self):
         cs = constraint_system(WORKED_SPEC)
@@ -117,6 +134,11 @@ class TestEnumerateVertices:
         with pytest.raises(ScaleGuardError):
             enumerate_vertices(big)
 
+    def test_malformed_scale_guard_is_an_input_error(self, monkeypatch):
+        monkeypatch.setenv("GTPOLY_SCALE_GUARD", "abc")
+        with pytest.raises(InputError, match="GTPOLY_SCALE_GUARD must be an integer, got 'abc'"):
+            enumerate_vertices(POINT_SPEC)
+
     def test_scale_guard_override(self, monkeypatch):
         monkeypatch.setenv("GTPOLY_SCALE_GUARD", "7")
         big = PolytopeSpec((7, 0, 0, 0, 0, 0, 0), (7, 0, 0, 0, 0, 0, 0))
@@ -171,6 +193,11 @@ class TestSamplePoints:
     def test_empty_polytope_rejected(self):
         with pytest.raises(InputError):
             sample_points(PolytopeSpec((1, 1), (2, 0)), 3, seed=0)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(InputError, match="count must be nonnegative, got -3"):
+            sample_points(FAMILY2_SPEC, -3, seed=0)
+        assert sample_points(FAMILY2_SPEC, 0, seed=0) == []
 
     def test_many_lattice_points_are_not_built(self):
         # 748,626 lattice points: drawing six samples must rank into them,

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from gtdata import (
     FAMILY2,
@@ -12,6 +13,7 @@ from gtdata import (
     WORKED_FREE_TILES,
     WORKED_MATRIX,
     random_valid_pattern,
+    triangles,
 )
 from gtpoly import (
     GTPattern,
@@ -22,6 +24,11 @@ from gtpoly import (
     tiling_matrix,
     tiling_matrix_of,
 )
+
+
+# the steps from a cell to its upper-right, upper-left, lower-left and
+# lower-right neighbors (delta_i, delta_j)
+NEIGHBOR_STEPS = ((1, 1), (0, 1), (-1, -1), (0, -1))
 
 
 def constant_pattern(n, value=3):
@@ -125,10 +132,22 @@ class TestTilingInvariants:
         # maximality: adjacent equal cells always share a tile
         owner = tile_of(til)
         for (i, j) in x.cells():
-            for di, dj in ((1, 1), (0, 1), (-1, -1), (0, -1)):
+            for di, dj in NEIGHBOR_STEPS:
                 c, d = i + di, j + dj
                 if 1 <= c <= d <= n and x.entry(c, d) == x.entry(i, j):
                     assert owner[(c, d)] == owner[(i, j)]
+        # minimality: neighbor steps inside a tile (equal-valued, as its
+        # values are constant) reach every cell of it from its first cell
+        for tile in til.tiles:
+            reached, stack = {tile[0]}, [tile[0]]
+            while stack:
+                i, j = stack.pop()
+                for di, dj in NEIGHBOR_STEPS:
+                    step = (i + di, j + dj)
+                    if step in tile and step not in reached:
+                        reached.add(step)
+                        stack.append(step)
+            assert reached == set(tile)
         # free tiles avoid the bottom cell and the top row
         for t, tile in enumerate(til.tiles):
             is_free = (1, 1) not in tile and all(j != n for (_, j) in tile)
@@ -143,6 +162,11 @@ class TestTilingInvariants:
     def test_named_patterns(self):
         for x in (WORKED, FAMILY2, constant_pattern(4)):
             self.assert_invariants(x)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(triangles(noisy=False))
+    def test_generated(self, x):
+        self.assert_invariants(x)
 
 
 class TestTilingMatrix:
